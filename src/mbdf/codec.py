@@ -3,9 +3,12 @@
 The receive chain couples the multi-branch decision-feedback detector to a
 rate-1/2 convolutional code.  Soft detector outputs are condensed into
 per-bit log-likelihood ratios through a scalar Gaussian model fitted per
-stream and branch, the strongest branch's LLR is kept for every bit, and a
-log-domain BCJR decoder turns the result into coded-bit extrinsics plus
-information-bit decisions.  Decoder extrinsics come back as the demapper's
+stream and branch, the strongest branch's LLR is kept for every bit, and an
+exact log-MAP BCJR decoder turns the result into coded-bit extrinsics plus
+information-bit decisions.  The decoder takes a stack of sequences (trailing
+axis one sequence, leading axes independent ones) and runs its forward and
+backward recursions over all of them at once, so a turbo pass decodes every
+stream in one call.  Decoder extrinsics come back as the demapper's
 symbol priors on the next pass, while the decoder posteriors supply the soft
 symbols that feed the feedback filters — and, when the channel is available,
 the measured reliability of those symbols drives a per-pass refit of the
@@ -18,6 +21,7 @@ positive axis.  Bipolar form is ``x = 1 - 2 b``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +74,7 @@ class ConvCode:
     constraint_length: int = 3
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))  # hashable
         if self.constraint_length < 2:
             raise ValueError("constraint length must be at least 2")
         top = 1 << self.constraint_length
@@ -93,18 +98,31 @@ class ConvCode:
         return 1.0 / self.n_outputs
 
 
+@functools.lru_cache(maxsize=None)
 def _trellis(code: ConvCode):
-    """(next_state, outputs) tables: [state, input] -> state / coded bits."""
-    n_s, n_out, mem = code.n_states, code.n_outputs, code.memory
-    nxt = np.empty((n_s, 2), dtype=int)
-    out = np.empty((n_s, 2, n_out), dtype=int)
-    for s in range(n_s):
-        for u in (0, 1):
-            window = (u << mem) | s  # constraint_length recent bits, newest high
-            for g, taps in enumerate(code.generators):
-                out[s, u, g] = bin(window & taps).count("1") & 1
-            nxt[s, u] = (u << (mem - 1)) | (s >> 1)
-    return nxt, out
+    """Read-only (next_state, outputs, predecessors, split) tables of ``code``.
+
+    ``next_state[s, u]`` and ``outputs[s, u]`` give the state and coded bits
+    after input ``u`` in state ``s``.  Transitions are indexed flat as
+    ``s * 2 + u``: ``predecessors[n]`` holds the two that enter state ``n``,
+    and ``split[c, b]`` the ``n_states`` whose label ``c`` is bit ``b``, label
+    0 being the input and label ``1 + g`` the output of generator ``g``.
+    """
+    n_s, mem = code.n_states, code.memory
+    s, u = np.arange(n_s)[:, None], np.arange(2)[None, :]
+    window = (u << mem) | s  # constraint_length recent bits, newest high
+    out = np.array([[[bin(w & g).count("1") & 1 for g in code.generators]
+                     for w in row] for row in window])
+    nxt = (u << (mem - 1)) | (s >> 1)
+    pred = np.argsort(nxt.ravel(), kind="stable").reshape(n_s, 2)
+    # every label is a nonzero parity of the window, so it is 0 on exactly
+    # half of the transitions
+    labels = np.concatenate([np.broadcast_to(u, (n_s, 2))[..., None], out], axis=-1)
+    split = np.argsort(labels.reshape(2 * n_s, -1).T, kind="stable")
+    split = split.reshape(-1, 2, n_s)
+    for table in (nxt, out, pred, split):
+        table.setflags(write=False)
+    return nxt, out, pred, split
 
 
 def conv_encode(bits, code: ConvCode = ConvCode()) -> np.ndarray:
@@ -112,7 +130,7 @@ def conv_encode(bits, code: ConvCode = ConvCode()) -> np.ndarray:
     bits = np.asarray(bits, dtype=int).ravel()
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must be 0/1")
-    nxt, out = _trellis(code)
+    nxt, out, _, _ = _trellis(code)
     coded = np.empty((bits.size + code.memory, code.n_outputs), dtype=int)
     state = 0
     for i, u in enumerate(np.concatenate([bits, np.zeros(code.memory, dtype=int)])):
@@ -131,23 +149,29 @@ def make_interleaver(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def interleave(seq, perm) -> np.ndarray:
-    """Permute the last axis: output position i holds input ``perm[i]``."""
-    seq = np.asarray(seq)
-    perm = np.asarray(perm, dtype=int)
-    if seq.shape[-1] != perm.size:
-        raise ValueError("sequence length does not match the permutation")
-    return seq[..., perm]
+    """Permute the last axis: output position i holds input ``perm[..., i]``.
+
+    ``perm`` broadcasts against the leading axes of ``seq``, so a stack of
+    permutations permutes each stacked sequence by its own.
+    """
+    seq, perm = _aligned(seq, perm)
+    return np.take_along_axis(seq, perm, axis=-1)
 
 
 def deinterleave(seq, perm) -> np.ndarray:
     """Inverse of :func:`interleave` with the same permutation."""
+    seq, perm = _aligned(seq, perm)
+    out = np.empty_like(seq)
+    np.put_along_axis(out, perm, seq, axis=-1)
+    return out
+
+
+def _aligned(seq, perm) -> tuple[np.ndarray, np.ndarray]:
     seq = np.asarray(seq)
     perm = np.asarray(perm, dtype=int)
-    if seq.shape[-1] != perm.size:
+    if seq.shape[-1] != perm.shape[-1]:
         raise ValueError("sequence length does not match the permutation")
-    out = np.empty_like(seq)
-    out[..., perm] = seq
-    return out
+    return seq, np.broadcast_to(perm, seq.shape)
 
 
 def encode_packet(
@@ -166,10 +190,7 @@ def encode_packet(
     if info_bits.ndim != 2:
         raise ValueError("info bits must be (n_streams, k)")
     coded = np.stack([conv_encode(row, code) for row in info_bits])
-    if coded.shape[1] != np.asarray(perms).shape[-1]:
-        raise ValueError("interleaver length does not match the coded length")
-    mixed = np.stack([interleave(c, p) for c, p in zip(coded, perms)])
-    return modulate(mixed, constellation)
+    return modulate(interleave(coded, perms), constellation)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +297,9 @@ def extrinsic_llr(
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp, safe against overflow."""
-    peak = a.max(axis=1)
-    return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+    """Log-sum-exp over the last axis, safe against overflow."""
+    peak = a.max(axis=-1)
+    return peak + np.log(np.exp(a - peak[..., None]).sum(axis=-1))
 
 
 def select_llr(per_branch, mode: str = "literal") -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +329,7 @@ def select_llr(per_branch, mode: str = "literal") -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class BcjrResult:
-    """Log-domain forward-backward output for one coded sequence."""
+    """Log-domain forward-backward output; leading axes index sequences."""
 
     posterior: np.ndarray  # a-posteriori LLR per coded bit
     extrinsic: np.ndarray  # posterior minus the input prior
@@ -317,73 +338,55 @@ class BcjrResult:
 
 
 def bcjr_decode(llr_in, code: ConvCode = ConvCode()) -> BcjrResult:
-    """Exact MAP decoding of one terminated convolutional sequence.
+    """Exact log-MAP decoding of terminated convolutional sequences.
 
-    ``llr_in`` holds one LLR per coded bit (channel plus any prior).  The
-    trellis starts and ends in the zero state; the final ``memory`` steps
-    carry the flush zeros, so information LLRs cover only the leading
-    ``len(llr_in) / n_outputs - memory`` steps.
+    The trailing axis of ``llr_in`` is one sequence, one LLR per coded bit
+    (channel plus any prior); any leading axes index independent sequences,
+    decoded together and kept in the result.  The trellis starts and ends in
+    the zero state; the final ``memory`` steps carry the flush zeros, so
+    information LLRs cover only the leading ``n_coded / n_outputs - memory``
+    steps.  Non-finite LLRs are rejected.
     """
-    llr_in = np.asarray(llr_in, dtype=float).ravel()
+    llr_in = np.atleast_1d(np.asarray(llr_in, dtype=float))
+    lead, n_coded = llr_in.shape[:-1], llr_in.shape[-1]
     n_out = code.n_outputs
-    if llr_in.size % n_out:
+    if n_coded % n_out:
         raise ValueError("coded length is not a multiple of the output count")
-    steps = llr_in.size // n_out
+    steps = n_coded // n_out
     k = steps - code.memory
     if k < 1:
         raise ValueError("sequence too short to carry information bits")
-    nxt, out = _trellis(code)
+    if not np.isfinite(llr_in).all():
+        raise ValueError("input LLRs must be finite")
+    nxt, out, pred, split = _trellis(code)
     n_s = code.n_states
-    bipolar = 1 - 2 * out  # (n_s, 2, n_out)
-    half = 0.5 * llr_in.reshape(steps, n_out)
-    # branch metrics: gamma[t, s, u] = sum_g bipolar * half-prior
-    gamma = np.einsum("sug,tg->tsu", bipolar, half)
-    alpha = np.full((steps + 1, n_s), NEG_INF)
-    beta = np.full((steps + 1, n_s), NEG_INF)
-    alpha[0, 0] = 0.0
-    beta[steps, 0] = 0.0
+    half = 0.5 * llr_in.reshape(-1, steps, n_out).transpose(1, 0, 2)  # (T, B, g)
+    n_b = half.shape[1]
+    # branch metrics gamma[t, b, s, u] = sum_g bipolar * half-prior; the
+    # flush steps force input 0
+    gamma = (half[:, :, None, None, :] * (1 - 2 * out)).sum(axis=-1)
+    gamma[k:, :, :, 1] = NEG_INF
+    alpha = np.full((steps + 1, n_b, n_s), NEG_INF)
+    beta = np.full((steps + 1, n_b, n_s), NEG_INF)
+    alpha[0, :, 0] = 0.0
+    beta[steps, :, 0] = 0.0
     for t in range(steps):
-        inputs = (0, 1) if t < k else (0,)  # flush steps force zeros
-        nxt_alpha = np.full(n_s, NEG_INF)
-        for u in inputs:
-            cand = alpha[t] + gamma[t, :, u]
-            np.logaddexp.at(nxt_alpha, nxt[:, u], cand)
-        alpha[t + 1] = nxt_alpha
+        into = (alpha[t][:, :, None] + gamma[t]).reshape(n_b, 2 * n_s)[:, pred]
+        alpha[t + 1] = np.logaddexp(into[..., 0], into[..., 1])
     for t in range(steps - 1, -1, -1):
-        inputs = (0, 1) if t < k else (0,)
-        acc = np.full(n_s, NEG_INF)
-        for u in inputs:
-            acc = np.logaddexp(acc, gamma[t, :, u] + beta[t + 1, nxt[:, u]])
-        beta[t] = acc
-    posterior = np.empty_like(llr_in)
-    info_llrs = np.empty(k)
-    for t in range(steps):
-        inputs = (0, 1) if t < k else (0,)
-        # joint log-weight of each surviving transition
-        weights = {
-            u: alpha[t] + gamma[t, :, u] + beta[t + 1, nxt[:, u]] for u in inputs
-        }
-        if t < k:
-            info_llrs[t] = _lse1(weights[0]) - _lse1(weights[1])
-        for g in range(n_out):
-            on, off = NEG_INF, NEG_INF
-            for u in inputs:
-                w = weights[u]
-                zero_mask = out[:, u, g] == 0
-                if zero_mask.any():
-                    on = np.logaddexp(on, _lse1(w[zero_mask]))
-                if (~zero_mask).any():
-                    off = np.logaddexp(off, _lse1(w[~zero_mask]))
-            posterior[t * n_out + g] = on - off
-    extrinsic = posterior - llr_in
-    return BcjrResult(posterior, extrinsic, info_llrs, (info_llrs < 0).astype(int))
-
-
-def _lse1(a: np.ndarray) -> float:
-    peak = a.max()
-    if peak <= NEG_INF:
-        return NEG_INF
-    return float(peak + np.log(np.exp(a - peak).sum()))
+        leave = gamma[t] + beta[t + 1][:, nxt]
+        beta[t] = np.logaddexp(leave[..., 0], leave[..., 1])
+    # joint log-weight of every transition, (T, B, 2 * n_s)
+    weights = (alpha[:-1, :, :, None] + gamma + beta[1:][:, :, nxt]).reshape(
+        steps, n_b, 2 * n_s
+    )
+    sums = _logsumexp(weights[..., split])  # (T, B, 1 + n_out, 2)
+    llrs = sums[..., 0] - sums[..., 1]  # (T, B, 1 + n_out)
+    posterior = llrs[:, :, 1:].transpose(1, 0, 2).reshape(llr_in.shape)
+    info_llrs = llrs[:k, :, 0].T.reshape(*lead, k)
+    return BcjrResult(
+        posterior, posterior - llr_in, info_llrs, (info_llrs < 0).astype(int)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +448,9 @@ def turbo_receive(
     fits the scalar Gaussian model per (stream, branch), demaps to extrinsic
     LLRs with the decoder's interleaved extrinsics as priors (zero on the
     first pass), keeps the strongest branch per bit, deinterleaves, and MAP
-    decodes each stream.  Later passes rebuild the detector soft outputs by
-    subtracting soft-symbol feedback — posterior symbol means from the
-    decoders — through the feedback filters.
+    decodes all streams in one batched call.  Later passes rebuild the
+    detector soft outputs by subtracting soft-symbol feedback — posterior
+    symbol means from the decoders — through the feedback filters.
 
     The filters the later passes use depend on ``channel``.  When it is
     given, the bank is re-derived each pass for the measured power of the
@@ -482,15 +485,12 @@ def turbo_receive(
     perms = np.asarray(perms, dtype=int)
     if perms.shape != (n_t, n_coded):
         raise ValueError(f"interleavers must be ({n_t}, {n_coded})")
-    k = n_coded // code.n_outputs - code.memory
     counter = OpCounter()
     priors = np.zeros((n_t, q, c_bits))
-    posteriors = np.zeros((n_t, q, c_bits))
     model: GaussianOutputModel | None = None
     soft = None
     live = bank
     symbol_power = float(np.mean(np.abs(constellation.points) ** 2))
-    info_llrs = np.empty((n_t, k))
     iteration_bits: list[np.ndarray] = []
     ber_trace = [] if true_bits is not None else None
     branch_idx = np.zeros((n_t, q, c_bits), dtype=int)
@@ -522,31 +522,25 @@ def turbo_receive(
         model = estimate_output_model(
             z, slice_symbols(z, constellation), min_samples=min_samples, previous=model
         )
-        lam1 = np.empty((n_br, n_t, q, c_bits))
-        for l in range(n_br):
-            for j in range(n_t):
-                lam1[l, j] = extrinsic_llr(
-                    z[l, j],
-                    GaussianOutputModel(model.v[l, j], model.xi_var[l, j]),
-                    priors[j],
-                    constellation,
-                    mode=demap_mode,
-                )
+        # one demap over every (branch, stream) sequence, each with its own model
+        lam1 = extrinsic_llr(
+            z.ravel(),
+            GaussianOutputModel(np.repeat(model.v, q), np.repeat(model.xi_var, q)),
+            np.broadcast_to(priors, (n_br, n_t, q, c_bits)).reshape(-1, c_bits),
+            constellation,
+            mode=demap_mode,
+        ).reshape(n_br, n_t, q, c_bits)
         selected, branch_idx = select_llr(lam1, mode=select_mode)
-        for j in range(n_t):
-            chan = deinterleave(selected[j].reshape(-1), perms[j])
-            dec = bcjr_decode(chan, code)
-            info_llrs[j] = dec.info_llrs
-            priors[j] = interleave(dec.extrinsic, perms[j]).reshape(q, c_bits)
-            posteriors[j] = interleave(dec.posterior, perms[j]).reshape(q, c_bits)
+        dec = bcjr_decode(deinterleave(selected.reshape(n_t, n_coded), perms), code)
+        priors = interleave(dec.extrinsic, perms).reshape(n_t, q, c_bits)
+        posteriors = interleave(dec.posterior, perms).reshape(n_t, q, c_bits)
         soft = soft_symbol_estimate(posteriors, constellation)
-        bits = (info_llrs < 0).astype(int)
-        iteration_bits.append(bits)
+        iteration_bits.append(dec.info_bits)
         if ber_trace is not None:
-            ber_trace.append(np.mean(bits != true_bits))
+            ber_trace.append(np.mean(dec.info_bits != true_bits))
     return TurboResult(
-        iteration_bits[-1],
-        info_llrs.copy(),
+        dec.info_bits,
+        dec.info_llrs,
         iteration_bits,
         None if ber_trace is None else np.array(ber_trace),
         branch_idx,

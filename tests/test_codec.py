@@ -120,6 +120,11 @@ def test_interleave_roundtrip_identity(n, seed):
     x = np.arange(n, dtype=float)
     assert np.array_equal(deinterleave(interleave(x, perm), perm), x)
     assert np.array_equal(interleave(deinterleave(x, perm), perm), x)
+    # a stack of permutations permutes each stacked sequence by its own
+    perms, xs = np.stack([perm, perm[::-1]]), np.stack([x, -x])
+    rows = [interleave(x, perm), interleave(-x, perm[::-1])]
+    assert np.array_equal(interleave(xs, perms), np.stack(rows))
+    assert np.array_equal(deinterleave(interleave(xs, perms), perms), xs)
 
 
 def test_interleave_checks_length():
@@ -321,6 +326,50 @@ def test_bcjr_matches_exhaustive_map():
         posterior, info_llrs = exhaustive_map(llr, code, k)
         assert np.max(np.abs(res.posterior - posterior)) < 1e-9
         assert np.max(np.abs(res.info_llrs - info_llrs)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "code",
+    [ConvCode((0o15, 0o17), 4), ConvCode((0o5, 0o7, 0o7), 3)],
+    ids=["8-state", "rate-1-3"],
+)
+def test_bcjr_matches_exhaustive_map_on_other_codes(code):
+    # an 8-state and a rate-1/3 code, alone and stacked in a batch
+    k = 7
+    rng = np.random.default_rng(18)
+    llr = rng.normal(0.0, 2.0, size=(3, code.n_outputs * (k + code.memory)))
+    batch = bcjr_decode(llr, code)
+    for row, post_row, info_row in zip(llr, batch.posterior, batch.info_llrs):
+        posterior, info_llrs = exhaustive_map(row, code, k)
+        alone = bcjr_decode(row, code)
+        for got_post, got_info in ((alone.posterior, alone.info_llrs), (post_row, info_row)):
+            assert np.max(np.abs(got_post - posterior)) < 1e-9
+            assert np.max(np.abs(got_info - info_llrs)) < 1e-9
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 4])
+def test_batched_decode_equals_row_by_row(n_rows):
+    # determinism contract: batching changes no bit of any output
+    rng = np.random.default_rng(19)
+    k = 40
+    llr = rng.normal(0.0, 3.0, size=(n_rows, 2 * (k + 2)))
+    llr[0] = 50.0 * (1 - 2 * conv_encode(rng.integers(0, 2, size=k)))
+    llr[-1, ::3] = rng.choice([-50.0, 50.0], size=llr[-1, ::3].shape)
+    batch = bcjr_decode(llr)
+    nested = bcjr_decode(llr[None])
+    for b, row in enumerate(llr):
+        alone = bcjr_decode(row)
+        for name in ("posterior", "extrinsic", "info_llrs", "info_bits"):
+            assert np.array_equal(getattr(batch, name)[b], getattr(alone, name))
+            assert np.array_equal(getattr(nested, name)[0, b], getattr(alone, name))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bcjr_rejects_non_finite_llrs(bad):
+    llr = np.zeros((2, 2 * (5 + 2)))
+    llr[1, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bcjr_decode(llr)
 
 
 def test_bcjr_additivity_is_exact():
