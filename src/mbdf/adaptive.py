@@ -107,7 +107,7 @@ def init_rls(
         raise ValueError(f"forgetting factor must lie in (0, 1], got {lam}")
     if delta_inv <= 0:
         raise ValueError("delta_inv must be positive")
-    n_tx = len(branches[0].shapes)
+    n_tx = branches[0].n_streams
     l_count = len(branches)
     bank = FilterBank(
         np.zeros((l_count, n_tx, n_rx), dtype=complex),
@@ -209,16 +209,17 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
     converge to the same fixed point on static channels, differing in which
     statistic each line consumes and hence in scale handling:
 
-        mixed (default): w = R^-1 (p_j + Q f_prev);  f = beta Proj H_hat^H w.
+        mixed (default): w = R^-1 (p_j + Q f_prev);  f = beta m_j o H_hat^H w.
             The w-line uses raw statistics whose masses cancel exactly; the
             f-line uses the true-scale channel estimate.  Needs h_hat.
-        statistics: w as above; f = beta Proj Q^H w / (mass * sigma_s2).
+        statistics: w as above; f = beta m_j o Q^H w / (mass * sigma_s2).
             No channel estimate needed; the cross matrix is de-scaled
             explicitly.
         channel: w = mass * sigma_s2 * R_deb^-1 H_hat (delta_j + f_prev);
             f as in mixed.  Both lines run off the channel estimate; the
             covariance inverse is de-biased and re-scaled to true scale.
 
+    ``m_j o`` keeps the taps that the branch's mask frees for stream j.
     Updates ``state.filters`` in place and returns it.
     """
     if form not in _FORMS:
@@ -247,7 +248,7 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
             else:
                 raw = state.h_hat.conj().T @ w
             bank.w[li, j] = w
-            bank.f[li, j] = br.beta * (br.projections[j] @ raw)
+            bank.f[li, j] = br.beta * (br.mask[j] * raw)
     per_pair = n_rx * n_rx + n_rx * n_tx + n_tx * n_rx + n_tx * n_tx + n_tx
     n_pairs = len(bank.branches) * n_tx
     state.op_counts.add(mults=n_pairs * per_pair, adds=n_pairs * per_pair)
@@ -319,7 +320,6 @@ def adaptive_packet(
     metric: str = "full",
     selection: str = "joint",
     reorder_every: int = 50,
-    beta: float | None = None,
     state: RlsState | None = None,
     oracle_decisions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, RlsState]:

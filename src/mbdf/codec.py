@@ -51,6 +51,8 @@ __all__ = [
 
 LLR_CLAMP = 50.0
 VARIANCE_FLOOR = 1e-6
+# fewest soft outputs per sequence that the scalar output model is fitted from
+MIN_MODEL_SAMPLES = 20
 NEG_INF = -1e30
 
 
@@ -213,7 +215,7 @@ def estimate_output_model(
     z,
     reference,
     sigma_s2: float = 1.0,
-    min_samples: int = 20,
+    min_samples: int = MIN_MODEL_SAMPLES,
     previous: GaussianOutputModel | None = None,
 ) -> GaussianOutputModel:
     """Fit (v, xi_var) by sample averages over the trailing axis.
@@ -437,7 +439,7 @@ def turbo_receive(
     select_mode: str = "literal",
     metric: str = "full",
     selection: str = "joint",
-    min_samples: int = 20,
+    min_samples: int = MIN_MODEL_SAMPLES,
     channel=None,
     true_bits: np.ndarray | None = None,
 ) -> TurboResult:

@@ -30,15 +30,3 @@ class OpCounter:
     def reset(self) -> None:
         self.mults = 0
         self.adds = 0
-
-
-def count_matvec(counter: OpCounter | None, rows: int, cols: int, repeat: int = 1) -> None:
-    """Count a dense (rows x cols) @ (cols,) product, `repeat` times."""
-    if counter is not None:
-        counter.add(mults=rows * cols * repeat, adds=rows * (cols - 1) * repeat)
-
-
-def count_dot(counter: OpCounter | None, n: int, repeat: int = 1) -> None:
-    """Count an n-term inner product, `repeat` times."""
-    if counter is not None:
-        counter.add(mults=n * repeat, adds=(n - 1) * repeat)

@@ -35,7 +35,6 @@ from .sysmodel import ChannelRealization, Constellation, slice_to_index
 __all__ = [
     "DetectorConfig",
     "DetectionResult",
-    "reverse_diagonal",
     "fixed_orderings",
     "build_branches",
     "order_optimal",
@@ -105,11 +104,6 @@ class DetectionResult:
     op_counts: OpCounter = field(default_factory=OpCounter)
 
 
-def reverse_diagonal(n: int) -> np.ndarray:
-    """Permutation matrix with ones along the anti-diagonal."""
-    return np.eye(n)[::-1].copy()
-
-
 # ---------------------------------------------------------------------------
 # Branch orderings
 # ---------------------------------------------------------------------------
@@ -150,7 +144,6 @@ def order_optimal(
     sigma_n2: float | None = None,
     beta: float = 1.0,
     sigma_s2: float = 1.0,
-    own_rule: bool = True,
     joint: bool = False,
 ) -> list[BranchSpec]:
     """Exhaustive MMSE-based ordering search.
@@ -173,7 +166,7 @@ def order_optimal(
     stats = perfect_feedback_stats(ChannelRealization(channel.gains, noise), sigma_s2)
     perms = list(permutations(range(n_t)))
     total = {
-        p: float(np.sum(branch_mmse(stats, make_branch(n_t, p, beta, own_rule=own_rule))))
+        p: float(np.sum(branch_mmse(stats, make_branch(n_t, p, beta))))
         for p in perms
     }
     if joint:
@@ -183,10 +176,7 @@ def order_optimal(
         chosen = list(best_set)
     else:
         chosen = sorted(perms, key=lambda p: (total[p], p))[:l_count]
-    return [
-        make_branch(n_t, p, beta, index=l, own_rule=own_rule)
-        for l, p in enumerate(chosen)
-    ]
+    return [make_branch(n_t, p, beta, index=l) for l, p in enumerate(chosen)]
 
 
 def _greedy_difference_order(mmse: np.ndarray, first: int) -> np.ndarray:
@@ -257,7 +247,6 @@ def build_branches(
     sigma_n2: float | None = None,
     sigma_s2: float = 1.0,
     pattern: str = "sic",
-    own_rule: bool = True,
 ) -> list[BranchSpec]:
     """Assemble the L branch specifications for a detector.
 
@@ -271,7 +260,7 @@ def build_branches(
         if channel is None:
             raise ValueError("optimal ordering requires the channel")
         return order_optimal(
-            channel, l_count, sigma_n2=sigma_n2, beta=beta, sigma_s2=sigma_s2, own_rule=own_rule
+            channel, l_count, sigma_n2=sigma_n2, beta=beta, sigma_s2=sigma_s2
         )
     elif ordering == "suboptimal":
         if channel is None:
@@ -282,7 +271,7 @@ def build_branches(
     else:
         raise ValueError(f"unknown ordering mode {ordering!r}")
     return [
-        make_branch(n_t, o, beta, index=l, pattern=pattern, own_rule=own_rule)
+        make_branch(n_t, o, beta, index=l, pattern=pattern)
         for l, o in enumerate(orders)
     ]
 

@@ -5,15 +5,15 @@ received vector and a feedback filter ``f`` on already-made symbol decisions,
 
     z_j = w^H r - f^H s_dec.
 
-The feedback taps are restricted by a 0/1 shape matrix ``S`` through the
-constraint ``S f = 0``: ones in S mark taps forced to zero.  Different
-branches use different tap patterns (permutations of a successive-cancellation
-template, or a parallel-cancellation template), producing distinct candidate
-decisions that a detector can choose among.
+Each branch carries a boolean tap mask: ``mask[j, k]`` is True iff tap k of
+stream j's feedback filter is free, and every other tap is held at zero.
+Different branches use different masks (the successive-cancellation pattern
+of their own detection order, or the parallel-cancellation pattern),
+producing distinct candidate decisions that a detector can choose among.
 
 The design solves, per (stream, branch),
 
-    min E|s_j - w^H r + f^H s_hat|^2   s.t.   S f = 0,
+    min E|s_j - w^H r + f^H s_hat|^2   s.t.   f_k = 0 wherever not mask[j, k],
 
 with the feedback magnitude throttled by a scalar ``beta`` in [0, 1]
 (0 = pure linear MMSE, 1 = full decision feedback).  Three equivalent routes
@@ -31,14 +31,9 @@ import numpy as np
 from .sysmodel import ChannelRealization
 
 __all__ = [
-    "ShapeConstraint",
     "BranchSpec",
     "SecondOrderStats",
     "FilterBank",
-    "projection_matrix",
-    "sic_shapes",
-    "permuted_shapes",
-    "pic_shapes",
     "make_branch",
     "perfect_feedback_stats",
     "design_statistical",
@@ -51,156 +46,51 @@ __all__ = [
     "immse_metric",
 ]
 
-# relative cutoff for pseudo-inverses of shape-matrix Grams
-PINV_RTOL = 1e-12
 # condition number beyond which a "numerical" design input is rejected
 COND_LIMIT = 1e14
 
 
 # ---------------------------------------------------------------------------
-# Shape constraints and projections
+# Branches and tap masks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShapeConstraint:
-    """0/1 matrix marking feedback taps forced to zero for one stream.
-
-    The active constraint is ``matrix @ f == 0``; a diagonal one at (k, k)
-    removes tap k from the feedback path of stream ``stream``.
-    """
-
-    matrix: np.ndarray
-    stream: int
-    branch: int = 0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("shape-constraint matrix must be square")
-        if m.size and not np.all((m == 0.0) | (m == 1.0)):
-            raise ValueError("shape-constraint entries must be 0 or 1")
-        # the projection formula below only annihilates S for symmetric
-        # patterns; every supported tap pattern (diagonal or a permutation
-        # conjugate of one) is symmetric, so reject anything else up front
-        if not np.array_equal(m, m.T):
-            raise ValueError("shape-constraint matrix must be symmetric")
-        object.__setattr__(self, "matrix", m)
-
-
-def projection_matrix(shape) -> np.ndarray:
-    """Projector onto the feasible tap set {f : S f = 0}.
-
-    Computed as ``I - S^H (S^H S)^+ S`` with a pseudo-inverse so singular
-    Grams (the common case for 0/1 patterns) are handled uniformly.  The
-    result is Hermitian and idempotent.
-    """
-    s = shape.matrix if isinstance(shape, ShapeConstraint) else np.asarray(shape, float)
-    gram = s.conj().T @ s
-    return np.eye(s.shape[1]) - s.conj().T @ np.linalg.pinv(gram, rcond=PINV_RTOL) @ s
-
-
-def _sic_template(n_t: int, stream: int) -> np.ndarray:
-    # Natural-order template for stream j (0-based): the last j diagonal
-    # slots are forced off; the pattern depth grows with the stream index.
-    s = np.zeros((n_t, n_t))
-    for k in range(n_t - stream, n_t):
-        s[k, k] = 1.0
-    return s
-
-
-def sic_shapes(n_t: int, own_rule: bool = True) -> list[ShapeConstraint]:
-    """Successive-cancellation tap patterns for the natural detection order.
-
-    ``own_rule=True`` (default) additionally forces each stream's own tap so
-    a decision can never cancel the stream it belongs to; ``False`` keeps the
-    raw block template.
-    """
-    if n_t < 1:
-        raise ValueError("n_t must be at least 1")
-    shapes = []
-    for j in range(n_t):
-        s = _sic_template(n_t, j)
-        if own_rule:
-            s[j, j] = 1.0
-        shapes.append(ShapeConstraint(s, j, 0))
-    return shapes
-
-
-def permuted_shapes(
-    n_t: int, perm, branch: int = 0, own_rule: bool = True
-) -> list[ShapeConstraint]:
-    """Tap patterns for a branch that detects streams in the order ``perm``.
-
-    The natural-order templates are conjugated by the permutation matrix of
-    ``perm`` (``P^T S P``), which re-targets each template at the streams
-    occupying the corresponding detection slots of this branch.
-    """
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(n_t)):
-        raise ValueError(f"perm must be a permutation of 0..{n_t - 1}, got {perm}")
-    p = np.zeros((n_t, n_t))
-    p[np.arange(n_t), perm] = 1.0
-    shapes = []
-    for j in range(n_t):
-        s = p.T @ _sic_template(n_t, j) @ p
-        if own_rule:
-            s[j, j] = 1.0
-        shapes.append(ShapeConstraint(s, j, branch))
-    return shapes
-
-
-def pic_shapes(n_t: int, branch: int = 0) -> list[ShapeConstraint]:
-    """Parallel-cancellation tap patterns: ``S_j = I - diag(e_j)``.
-
-    The own-tap rule is deliberately not applied here -- it would turn S into
-    the identity and disable feedback entirely.
-    """
-    if n_t < 1:
-        raise ValueError("n_t must be at least 1")
-    shapes = []
-    for j in range(n_t):
-        s = np.eye(n_t)
-        s[j, j] = 0.0
-        shapes.append(ShapeConstraint(s, j, branch))
-    return shapes
-
 
 @dataclass
 class BranchSpec:
-    """One detection branch: an ordering plus per-stream tap constraints.
+    """One detection branch: an ordering plus per-stream feedback tap masks.
 
     Attributes:
         index: branch number l.
         ordering: detection order; ``ordering[q]`` is the stream detected at
             step q.
-        shapes: per-stream ShapeConstraint, indexed by natural stream index.
-        projections: (n_t, n_t, n_t) stack; ``projections[j]`` maps stream
-            j's feedback filter into its feasible set.
+        mask: (n_t, n_t) bool; ``mask[j, k]`` is True iff tap k of stream
+            j's feedback filter is free.  Every other tap is held at zero, and
+            a stream's own tap is never free.
         beta: feedback-magnitude knob in [0, 1].
-        gamma: bookkeeping-only norm-scaling companion of beta (no closed
-            form relates the two except the endpoints, so beta is the knob).
     """
 
     index: int
     ordering: np.ndarray
-    shapes: list
-    projections: np.ndarray
+    mask: np.ndarray
     beta: float
-    gamma: float | None = None
 
     def __post_init__(self):
         self.ordering = np.asarray(self.ordering, dtype=int)
-        n = len(self.shapes)
-        if sorted(self.ordering.tolist()) != list(range(n)):
+        mask = np.asarray(self.mask)
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+            raise ValueError("tap mask must be square")
+        if mask.dtype != bool:
+            raise ValueError(f"tap mask must be boolean, got {mask.dtype}")
+        if np.any(np.diagonal(mask)):
+            raise ValueError("a stream's own feedback tap cannot be free")
+        if sorted(self.ordering.tolist()) != list(range(mask.shape[0])):
             raise ValueError("branch ordering must be a permutation of the streams")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        self.mask = mask
 
     @property
     def n_streams(self) -> int:
-        return len(self.shapes)
+        return self.mask.shape[0]
 
 
 def make_branch(
@@ -209,19 +99,13 @@ def make_branch(
     beta: float,
     index: int = 0,
     pattern: str = "sic",
-    own_rule: bool = True,
 ) -> BranchSpec:
-    """Assemble a branch with successive (default) or parallel tap patterns.
+    """Assemble a branch with successive (default) or parallel tap masks.
 
-    In the successive pattern the stream detected at step q keeps feedback
-    taps only on the streams decided at steps before q: its own tap and all
-    later streams are forced off, so cancellation follows this branch's
-    detection order.  (Equivalently: the block templates of
-    :func:`sic_shapes`, conjugated onto this branch's ordering and paired
-    with the detection steps from last to first — the template with the
-    largest forced block belongs to the first-detected stream.)  The
-    parallel pattern instead frees every tap except the stream's own and is
-    ordering-independent.
+    In the successive pattern the stream detected at step q has free feedback
+    taps exactly on the streams decided at steps before q, so cancellation
+    follows this branch's detection order.  The parallel pattern frees every
+    tap except the stream's own and is ordering-independent.
     """
     ordering = np.asarray(ordering, dtype=int)
     if pattern == "sic":
@@ -229,20 +113,14 @@ def make_branch(
             raise ValueError(
                 f"ordering must be a permutation of 0..{n_t - 1}, got {ordering}"
             )
-        shapes: list = [None] * n_t
+        mask = np.zeros((n_t, n_t), dtype=bool)
         for step, stream in enumerate(ordering):
-            s = np.zeros((n_t, n_t))
-            later = ordering[step + 1 :]
-            s[later, later] = 1.0
-            if own_rule:
-                s[stream, stream] = 1.0
-            shapes[stream] = ShapeConstraint(s, int(stream), index)
+            mask[stream, ordering[:step]] = True
     elif pattern == "pic":
-        shapes = pic_shapes(n_t, index)
+        mask = ~np.eye(n_t, dtype=bool)
     else:
         raise ValueError(f"unknown tap pattern {pattern!r} (use 'sic' or 'pic')")
-    proj = np.stack([projection_matrix(s) for s in shapes])
-    return BranchSpec(index, ordering, shapes, proj, float(beta))
+    return BranchSpec(index, ordering, mask, float(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +226,9 @@ def design_statistical(
     Starting from f = 0, alternates
 
         w <- R^{-1} (p_j + Q f)
-        f <- (beta / sigma_s2) * Proj (Q^H w - t_j)
+        f <- (beta / sigma_s2) * m_j o (Q^H w - t_j)
 
-    for ``iterations`` sweeps (default two).  Passing ``tol`` switches to
+    (m_j the branch's tap mask for stream j) for ``iterations`` sweeps (default two).  Passing ``tol`` switches to
     fixed-point mode: the alternation runs until the feedback update moves by
     less than ``tol`` relatively, up to ``max_iterations`` sweeps, which
     recovers the exact closed-form pair.  The single R^{-1} is computed once
@@ -368,12 +246,12 @@ def design_statistical(
         for j in range(n_tx):
             pj = stats.p_mat[:, j]
             tj = stats.t_mat[:, j]
-            proj = br.projections[j]
+            mask = br.mask[j]
             fj = np.zeros(n_tx, dtype=complex)
             wj = r_inv @ pj
             for _ in range(n_sweeps):
                 wj = r_inv @ (pj + q @ fj)
-                f_new = (br.beta / stats.sigma_s2) * (proj @ (q.conj().T @ wj - tj))
+                f_new = (br.beta / stats.sigma_s2) * (mask * (q.conj().T @ wj - tj))
                 step = np.linalg.norm(f_new - fj)
                 fj = f_new
                 if tol is not None and step <= tol * max(np.linalg.norm(fj), 1.0):
@@ -389,10 +267,10 @@ def design_closed_form(stats: SecondOrderStats, branches) -> FilterBank:
 
     Per (stream, branch):
 
-        w = (R - (beta/sigma_s2) Q Proj Q^H)^{-1} (p_j - (beta/sigma_s2) Q Proj t_j)
-        f = (beta / sigma_s2) * Proj (Q^H w - t_j)
+        w = (R - (beta/sigma_s2) Q M_j Q^H)^{-1} (p_j - (beta/sigma_s2) Q M_j t_j)
+        f = (beta / sigma_s2) * M_j (Q^H w - t_j)
 
-    One matrix inversion per (stream, branch) pair, so this is the slow
+    with ``M_j = diag(m_j)`` built from the branch's tap mask.  One matrix inversion per (stream, branch) pair, so this is the slow
     reference route.
     """
     branch_list = _as_branch_list(branches)
@@ -403,8 +281,8 @@ def design_closed_form(stats: SecondOrderStats, branches) -> FilterBank:
     for li, br in enumerate(branch_list):
         scale = br.beta / stats.sigma_s2
         for j in range(n_tx):
-            proj = br.projections[j]
-            core = stats.r_cov - scale * (q @ proj @ q.conj().T)
+            mask = br.mask[j]
+            core = stats.r_cov - scale * ((q * mask) @ q.conj().T)
             cond = np.linalg.cond(core)
             if not np.isfinite(cond) or cond > COND_LIMIT:
                 raise np.linalg.LinAlgError(
@@ -413,9 +291,9 @@ def design_closed_form(stats: SecondOrderStats, branches) -> FilterBank:
                 )
             pj = stats.p_mat[:, j]
             tj = stats.t_mat[:, j]
-            wj = np.linalg.solve(core, pj - scale * (q @ (proj @ tj)))
+            wj = np.linalg.solve(core, pj - scale * (q @ (mask * tj)))
             w[li, j] = wj
-            f[li, j] = scale * (proj @ (q.conj().T @ wj - tj))
+            f[li, j] = scale * (mask * (q.conj().T @ wj - tj))
     return FilterBank(w, f, branch_list)
 
 
@@ -432,7 +310,7 @@ def design_perfect_feedback(
     Alternates
 
         w <- (H H^H + (sigma_n2/sigma_s2) I)^{-1} H (e_j + f)
-        f <- beta * Proj H^H w
+        f <- beta * m_j o H^H w
 
     from f = 0, matching :func:`design_statistical` fed with the
     perfect-feedback statistics sweep for sweep.  The ridge term keeps the
@@ -449,12 +327,12 @@ def design_perfect_feedback(
     eye = np.eye(n_tx)
     for li, br in enumerate(branch_list):
         for j in range(n_tx):
-            proj = br.projections[j]
+            mask = br.mask[j]
             fj = np.zeros(n_tx, dtype=complex)
             wj = a_inv @ (h @ eye[j])
             for _ in range(n_sweeps):
                 wj = a_inv @ (h @ (eye[j] + fj))
-                f_new = br.beta * (proj @ (h.conj().T @ wj))
+                f_new = br.beta * (mask * (h.conj().T @ wj))
                 step = np.linalg.norm(f_new - fj)
                 fj = f_new
                 if tol is not None and step <= tol * max(np.linalg.norm(fj), 1.0):
@@ -484,7 +362,7 @@ def design_soft_feedback(
         f = beta * m o (H^H w)
 
     where D carries the per-stream residual powers (full power off the
-    feedback support) and m is the branch's 0/1 tap-support mask.  With
+    feedback support) and m is the branch's tap mask for stream j.  With
     ``fed_power = sigma_s2`` and beta = 1 this reproduces the converged
     ideal-decision design; with ``fed_power = 0`` the feedforward filter
     collapses to plain linear MMSE and the feedback taps only remove a zero
@@ -503,7 +381,7 @@ def design_soft_feedback(
     for li, br in enumerate(branch_list):
         cancel = br.beta * (2.0 - br.beta)
         for j in range(n_tx):
-            mask = np.real(np.diagonal(br.projections[j])) > 0.5
+            mask = br.mask[j]
             d = np.full(n_tx, sigma_s2)
             d[mask] = np.clip(sigma_s2 - cancel * rho[mask], 0.0, None)
             core = (h * d) @ h.conj().T + channel.noise_variance * eye

@@ -25,6 +25,7 @@ import numpy as np
 
 from .adaptive import adaptive_packet
 from .codec import (
+    MIN_MODEL_SAMPLES,
     ConvCode,
     GaussianOutputModel,
     encode_packet,
@@ -159,9 +160,14 @@ def _validate_feasibility(cfg: SimConfig) -> None:
             raise ValueError("the coded pipeline runs with perfect channel knowledge")
         if det.kind != "mbdf":
             raise ValueError("the coded pipeline uses the multi-branch detector")
-        n_coded = cfg.packet_len * c.bits_per_symbol
-        if n_coded % 2 or n_coded // 2 - 2 < 1:
-            raise ValueError("packet too short for the rate-1/2 terminated code")
+        # the floor also leaves room for the code's tail
+        if cfg.packet_len < MIN_MODEL_SAMPLES:
+            raise ValueError(
+                f"coded packets need at least {MIN_MODEL_SAMPLES} symbols to fit "
+                f"the detector output model, got {cfg.packet_len}"
+            )
+        if cfg.packet_len * c.bits_per_symbol % 2:
+            raise ValueError("the rate-1/2 code needs an even number of coded bits")
 
 
 def config_hash(cfg: SimConfig) -> str:
@@ -571,6 +577,11 @@ def exit_chart(
 
     Returns an array of (i_a, i_e) rows.
     """
+    if packet_len < MIN_MODEL_SAMPLES:
+        raise ValueError(
+            f"packet_len must be at least {MIN_MODEL_SAMPLES} to fit the detector "
+            f"output model, got {packet_len}"
+        )
     const = make_constellation(constellation)
     c_bits = const.bits_per_symbol
     noise = snr_to_noise_variance(snr_db, n_t, c_bits)

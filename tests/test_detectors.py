@@ -19,7 +19,6 @@ from mbdf.detectors import (
     multi_stage,
     order_optimal,
     order_suboptimal,
-    reverse_diagonal,
 )
 from mbdf.filters import (
     FilterBank,
@@ -66,11 +65,6 @@ def standard_bank(channel, l_count, beta, ordering="fixed", pattern="sic"):
 # ---------------------------------------------------------------------------
 # Exact recovery and ML oracles
 # ---------------------------------------------------------------------------
-
-def test_reverse_diagonal_n3():
-    t = reverse_diagonal(3)
-    assert np.array_equal(t, np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-
 
 def test_noiseless_exact_recovery_all_detectors():
     rng = np.random.default_rng(11)

@@ -1,16 +1,16 @@
-"""Filter-design tests: shapes, projections, design routes, error measures."""
+"""Filter-design tests: tap masks, design routes, error measures."""
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mbdf.filters import (
     BranchSpec,
-    ShapeConstraint,
     branch_mmse,
     design_closed_form,
     design_perfect_feedback,
+    design_soft_feedback,
     design_statistical,
     immse_metric,
     make_branch,
@@ -18,10 +18,6 @@ from mbdf.filters import (
     mmse_value,
     mse_objective,
     perfect_feedback_stats,
-    permuted_shapes,
-    pic_shapes,
-    projection_matrix,
-    sic_shapes,
 )
 from mbdf.sysmodel import ChannelRealization, rayleigh_channel
 
@@ -31,111 +27,40 @@ def _stats(seed, n_rx=4, n_tx=4, noise=0.1):
     return perfect_feedback_stats(rayleigh_channel(n_rx, n_tx, rng, noise))
 
 
-def _cyclic_branches(n_t, n_branches, beta, own_rule=True):
+def _cyclic_branches(n_t, n_branches, beta):
     return [
-        make_branch(n_t, np.roll(np.arange(n_t), -l), beta, index=l, own_rule=own_rule)
+        make_branch(n_t, np.roll(np.arange(n_t), -l), beta, index=l)
         for l in range(n_branches)
     ]
 
 
 # ---------------------------------------------------------------------------
-# Shapes and projections
+# Tap masks
 # ---------------------------------------------------------------------------
 
-def test_projection_examples():
-    assert np.allclose(projection_matrix(np.zeros((3, 3))), np.eye(3))
-    assert np.allclose(projection_matrix(np.eye(3)), np.zeros((3, 3)))
-    assert np.allclose(projection_matrix(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
-            st.permutations(range(n)),
+def test_masks_free_exactly_the_earlier_streams():
+    for n_t in range(1, 6):
+        for order in itertools.permutations(range(n_t)):
+            mask = make_branch(n_t, order, beta=0.5).mask
+            assert mask.dtype == bool and mask.shape == (n_t, n_t)
+            for pos, s in enumerate(order):
+                assert set(np.flatnonzero(mask[s])) == set(order[:pos])
+        assert np.array_equal(
+            make_branch(n_t, np.arange(n_t), 0.5, pattern="pic").mask,
+            ~np.eye(n_t, dtype=bool),
         )
-    )
-)
-def test_projection_properties(diag_and_perm):
-    # every constructible pattern is a permutation conjugate of a 0/1 diagonal
-    diag, perm = diag_and_perm
-    n = len(diag)
-    p = np.zeros((n, n))
-    p[np.arange(n), perm] = 1.0
-    s = p.T @ np.diag(np.array(diag, float)) @ p
-    pi = projection_matrix(ShapeConstraint(s, 0))
-    assert np.max(np.abs(pi - pi.conj().T)) <= 1e-12
-    assert np.max(np.abs(pi @ pi - pi)) <= 1e-12
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.linalg.norm(s @ (pi @ x)) <= 1e-10 * np.linalg.norm(x)
+    with pytest.raises(ValueError, match="square"):
+        BranchSpec(0, [0, 1], np.zeros((2, 3), dtype=bool), 0.5)
+    with pytest.raises(ValueError, match="boolean"):
+        BranchSpec(0, [0, 1], np.zeros((2, 2)), 0.5)
+    with pytest.raises(ValueError, match="own"):
+        BranchSpec(0, [0, 1], np.eye(2, dtype=bool), 0.5)
 
 
-def test_shape_constraint_validation():
-    with pytest.raises(ValueError):
-        ShapeConstraint(np.array([[0.5]]), 0)
-    with pytest.raises(ValueError):
-        ShapeConstraint(np.zeros((2, 3)), 0)
-    with pytest.raises(ValueError):
-        ShapeConstraint(np.array([[0.0, 0.0], [1.0, 0.0]]), 0)
-
-
-def test_sic_shapes_printed_forms():
-    raw = sic_shapes(2, own_rule=False)
-    assert np.array_equal(raw[0].matrix, np.zeros((2, 2)))
-    assert np.array_equal(raw[1].matrix, np.diag([0.0, 1.0]))
-    assert np.array_equal(sic_shapes(1, own_rule=False)[0].matrix, np.zeros((1, 1)))
-    # third stream of four: leading 2x2 zero block, trailing identity block
-    s = sic_shapes(4, own_rule=False)[2].matrix
-    assert np.array_equal(s, np.diag([0.0, 0.0, 1.0, 1.0]))
-
-
-def test_sic_shapes_own_rule():
-    shapes = sic_shapes(4)
-    for j, sc in enumerate(shapes):
-        assert sc.matrix[j, j] == 1.0  # no stream may feed back its own decision
-    assert np.array_equal(shapes[0].matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
-    # stream 2's own tap is already inside the trailing block
-    assert np.array_equal(shapes[2].matrix, np.diag([0.0, 0.0, 1.0, 1.0]))
-
-
-def test_permuted_shapes_identity_matches_sic():
-    for own in (True, False):
-        a = sic_shapes(4, own_rule=own)
-        b = permuted_shapes(4, np.arange(4), own_rule=own)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.matrix, y.matrix)
-
-
-def test_permuted_shapes_swap():
-    raw = permuted_shapes(2, [1, 0], own_rule=False)
-    assert np.array_equal(raw[1].matrix, np.diag([1.0, 0.0]))
-    # own rule turns the first-detected stream's pattern into "no feedback"
-    ruled = permuted_shapes(2, [1, 0], own_rule=True)
-    assert np.array_equal(ruled[1].matrix, np.eye(2))
-    with pytest.raises(ValueError):
-        permuted_shapes(3, [0, 1, 1])
-
-
-def test_permuted_shapes_distinct_patterns():
+def test_cyclic_branches_have_distinct_masks():
     branches = _cyclic_branches(4, 4, beta=0.65)
-    keys = [
-        tuple(tuple(np.diag(sc.matrix).astype(int)) for sc in br.shapes)
-        for br in branches
-    ]
-    assert len(set(keys)) == 4
-
-
-def test_pic_shapes():
-    shapes = pic_shapes(2)
-    assert np.array_equal(shapes[0].matrix, np.diag([0.0, 1.0]))
-    assert np.array_equal(shapes[1].matrix, np.diag([1.0, 0.0]))
-    for j, sc in enumerate(pic_shapes(4)):
-        expect = np.zeros(4)
-        expect[j] = 1.0
-        assert np.allclose(np.diag(projection_matrix(sc)), expect)
-    assert np.array_equal(pic_shapes(1)[0].matrix, np.zeros((1, 1)))
+    keys = {br.mask.tobytes() for br in branches}
+    assert len(keys) == 4
 
 
 def test_make_branch_validation():
@@ -216,9 +141,34 @@ def test_constraint_residual_all_routes():
         ]
         for bank in banks:
             for br in branches:
-                for j in range(4):
-                    resid = np.linalg.norm(br.shapes[j].matrix @ bank.f[br.index, j])
-                    assert resid <= 1e-10
+                assert np.all(bank.f[br.index][~br.mask] == 0)
+
+
+def test_soft_feedback_endpoints_match_oracles():
+    worst_full = worst_none = 0.0
+    for seed in range(20):
+        chan = rayleigh_channel(4, 4, np.random.default_rng(seed), 0.1)
+        h = chan.gains
+        # fully reliable feedback at beta = 1: the ideal-decision closed form
+        full = _cyclic_branches(4, 4, beta=1.0)
+        exact = design_closed_form(perfect_feedback_stats(chan), full)
+        soft = design_soft_feedback(chan, full, fed_power=1.0)
+        scale = max(np.max(np.abs(exact.w)), np.max(np.abs(exact.f)))
+        err = max(np.max(np.abs(exact.w - soft.w)), np.max(np.abs(exact.f - soft.f)))
+        worst_full = max(worst_full, err / scale)
+        # no feedback power: linear MMSE, with f = beta * mask o (H^H w)
+        part = _cyclic_branches(4, 4, beta=0.65)
+        soft = design_soft_feedback(chan, part, fed_power=0.0)
+        w_lin = np.linalg.solve(h @ h.conj().T + chan.noise_variance * np.eye(4), h)
+        for br in part:
+            f_lin = br.beta * br.mask * (h.conj().T @ w_lin).T
+            err = max(
+                np.max(np.abs(soft.w[br.index] - w_lin.T)),
+                np.max(np.abs(soft.f[br.index] - f_lin)),
+            )
+            worst_none = max(worst_none, err / np.max(np.abs(w_lin)))
+    assert worst_full <= 1e-10
+    assert worst_none <= 1e-12
 
 
 def test_perfect_feedback_limit_examples():
@@ -267,10 +217,9 @@ def test_designed_filters_minimize_objective():
         base = mse_objective(w, f, stats, j)
         # collapsed expression agrees with the full quadratic at the optimum
         assert mmse_value(w, f, stats, j) == pytest.approx(base, abs=1e-10)
-        proj = branch.projections[j]
         for _ in range(10):
             dw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            df = proj @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            df = branch.mask[j] * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
             perturbed = mse_objective(w + 0.1 * dw, f + 0.1 * df, stats, j)
             assert perturbed >= base - 1e-12
 
@@ -299,14 +248,14 @@ def test_mmse_linear_matches_beta_zero_design():
 
 def test_branch_mmse_matches_long_formula():
     # independent evaluation of the quadratic MMSE expression at the exact
-    # filters: sigma_s2 - a^H R a + beta^2 a^H (Q Proj Q^H) a with a = C^{-1} p
+    # filters: sigma_s2 - a^H R a + beta^2 a^H (Q M Q^H) a with a = C^{-1} p,
+    # M = diag(mask[j])
     stats = _stats(8)
     branch = make_branch(4, [3, 1, 0, 2], beta=0.65)
     vals = branch_mmse(stats, branch)
     q = stats.cross
     for j in range(4):
-        proj = branch.projections[j]
-        mid = q @ proj @ q.conj().T
+        mid = q @ np.diag(branch.mask[j].astype(float)) @ q.conj().T
         core = stats.r_cov - branch.beta * mid  # sigma_s2 = 1 here
         a = np.linalg.solve(core, stats.p_mat[:, j])
         expect = (

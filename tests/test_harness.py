@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mbdf.cli import main
+from mbdf.codec import MIN_MODEL_SAMPLES
 from mbdf.detectors import DetectorConfig, build_branches, detect_mb_mmse_df
 from mbdf.filters import design_perfect_feedback
 from mbdf.harness import (
@@ -90,7 +91,15 @@ def test_infeasible_combos_rejected_before_simulation():
     with pytest.raises(ValueError):
         run_ber_sweep(tiny(csi="adaptive"))  # no training prefix
     with pytest.raises(ValueError):
-        run_ber_sweep(tiny(coded=True, packet_len=3))  # no room for the tail
+        run_ber_sweep(tiny(coded=True, packet_len=3))  # below the model floor
+
+
+def test_coded_packets_shorter_than_the_model_floor_rejected():
+    for short in (10, MIN_MODEL_SAMPLES - 1):
+        with pytest.raises(ValueError, match="detector output model"):
+            run_ber_sweep(tiny(coded=True, packet_len=short))
+    ok = tiny(coded=True, packet_len=MIN_MODEL_SAMPLES, iterations=1, max_bits=1)
+    assert run_ber_sweep(ok).points[0].bits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +479,13 @@ def test_exit_curve_rises_from_open_to_saturated_priors():
     rows = exit_chart(4, 4, 10.0, [0.0, 0.999], packets=6, packet_len=150, seed=5)
     assert rows[0, 0] == 0.0
     assert 0.0 < rows[0, 1] < rows[1, 1] <= 1.0
+
+
+def test_exit_chart_rejects_packets_below_the_model_floor():
+    with pytest.raises(ValueError, match="detector output model"):
+        exit_chart(2, 2, 10.0, [0.5], branches=2, packets=1, packet_len=MIN_MODEL_SAMPLES - 1)
+    rows = exit_chart(2, 2, 10.0, [0.5], branches=2, packets=1, packet_len=MIN_MODEL_SAMPLES)
+    assert rows.shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
