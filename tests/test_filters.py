@@ -45,16 +45,46 @@ def test_masks_free_exactly_the_earlier_streams():
             assert mask.dtype == bool and mask.shape == (n_t, n_t)
             for pos, s in enumerate(order):
                 assert set(np.flatnonzero(mask[s])) == set(order[:pos])
-        assert np.array_equal(
-            make_branch(n_t, np.arange(n_t), 0.5, pattern="pic").mask,
-            ~np.eye(n_t, dtype=bool),
-        )
+
+
+def test_shape_constraint_validation():
+    # malformed tap masks are rejected when the branch is built
     with pytest.raises(ValueError, match="square"):
         BranchSpec(0, [0, 1], np.zeros((2, 3), dtype=bool), 0.5)
+    with pytest.raises(ValueError, match="square"):
+        BranchSpec(0, [0, 1], np.zeros(2, dtype=bool), 0.5)
     with pytest.raises(ValueError, match="boolean"):
         BranchSpec(0, [0, 1], np.zeros((2, 2)), 0.5)
+    with pytest.raises(ValueError, match="permutation"):
+        BranchSpec(0, [0, 1, 2], np.zeros((2, 2), dtype=bool), 0.5)
+
+
+def test_sic_shapes_own_rule():
+    # no stream may feed back its own decision, whatever the ordering
+    for n_t in range(1, 6):
+        for order in itertools.permutations(range(n_t)):
+            mask = make_branch(n_t, order, beta=0.5).mask
+            assert not np.any(np.diagonal(mask))
+    # the first-detected stream has no free tap at all
+    assert not np.any(make_branch(2, [1, 0], beta=0.5).mask[1])
     with pytest.raises(ValueError, match="own"):
         BranchSpec(0, [0, 1], np.eye(2, dtype=bool), 0.5)
+    with pytest.raises(ValueError, match="own"):
+        BranchSpec(0, [0, 1], np.array([[False, False], [True, True]]), 0.5)
+
+
+def test_pic_shapes():
+    # parallel cancellation frees every tap but the stream's own
+    assert np.array_equal(
+        make_branch(2, [0, 1], 0.5, pattern="pic").mask,
+        np.array([[False, True], [True, False]]),
+    )
+    for n_t in range(1, 6):
+        for order in (np.arange(n_t), np.arange(n_t)[::-1]):
+            assert np.array_equal(
+                make_branch(n_t, order, 0.5, pattern="pic").mask,
+                ~np.eye(n_t, dtype=bool),
+            )
 
 
 def test_cyclic_branches_have_distinct_masks():
