@@ -63,6 +63,7 @@ class RlsState:
         step: number of covariance updates absorbed so far.
         sigma_s2: symbol energy assumed by the filter refresh.
         op_counts: running multiply/add tally of all update work.
+        cond_fallbacks: ill-conditioned ridge removals (``_debiased_r_inv``).
     """
 
     r_inv: np.ndarray
@@ -76,6 +77,7 @@ class RlsState:
     step: int = 0
     sigma_s2: float = 1.0
     op_counts: OpCounter = field(default_factory=OpCounter)
+    cond_fallbacks: int = 0
 
     @property
     def n_rx(self) -> int:
@@ -189,21 +191,25 @@ def _debiased_r_inv(state: RlsState) -> np.ndarray:
     + lam^step * init_ridge * I); once the accumulated data mass exceeds the
     remaining ridge mass the ridge is subtracted at use time via
     (R - c I)^-1 = (I - c R^-1)^-1 R^-1.  Before that point the raw inverse
-    is returned unchanged — early on the ridge IS the conditioning.
+    is returned unchanged — early on the ridge IS the conditioning — as it is,
+    counted in ``state.cond_fallbacks``, when cond(I - c R^-1) exceeds 1e12.
     """
     c = state.lam**state.step * state.init_ridge
     if effective_mass(state.lam, state.step) < c:
         return state.r_inv
     n = state.n_rx
     core = np.eye(n) - c * state.r_inv
-    if np.linalg.cond(core) > 1e12:
+    # core is Hermitian, so its singular values are |eigenvalues|
+    ev = np.abs(np.linalg.eigvalsh(core))
+    if ev.max() > 1e12 * ev.min():
+        state.cond_fallbacks += 1
         return state.r_inv
     state.op_counts.add(mults=n**3, adds=n**3)
     return np.linalg.solve(core, state.r_inv)
 
 
 def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
-    """One alternating refresh of every (stream, branch) filter pair.
+    """One alternating refresh of every (branch, stream) filter pair.
 
     Three pairings of the feedforward/feedback update are provided; all
     converge to the same fixed point on static channels, differing in which
@@ -219,8 +225,10 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
             f as in mixed.  Both lines run off the channel estimate; the
             covariance inverse is de-biased and re-scaled to true scale.
 
-    ``m_j o`` keeps the taps that the branch's mask frees for stream j.
-    Updates ``state.filters`` in place and returns it.
+    ``m_j o`` keeps the taps that the branch's mask frees for stream j.  All
+    L·n_t pairs are refreshed in one stacked product: with F (L, n_t, n_t) the
+    previous feedback filters, W = (P^T + F Q^T) R^-T and f = beta o m o (W H_hat^*)
+    in the mixed form.  Updates ``state.filters`` in place and returns it.
     """
     if form not in _FORMS:
         raise ValueError(f"unknown update form {form!r} (use one of {_FORMS})")
@@ -235,20 +243,19 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
     # initialization ridge would otherwise act as an extra noise floor
     # (~12% of the data mass at lam=0.998 after 500 symbols)
     r_inv = _debiased_r_inv(state)
-    for li, br in enumerate(bank.branches):
-        for j in range(n_tx):
-            f_prev = bank.f[li, j]
-            if form == "channel":
-                target = state.h_hat[:, j] + state.h_hat @ f_prev
-                w = mass * state.sigma_s2 * (r_inv @ target)
-            else:
-                w = r_inv @ (state.p_hat[:, j] + state.q_hat @ f_prev)
-            if form == "statistics":
-                raw = state.q_hat.conj().T @ w / (mass * state.sigma_s2)
-            else:
-                raw = state.h_hat.conj().T @ w
-            bank.w[li, j] = w
-            bank.f[li, j] = br.beta * (br.mask[j] * raw)
+    if form == "channel":
+        target = state.h_hat.T + bank.f @ state.h_hat.T
+        w = mass * state.sigma_s2 * (target @ r_inv.T)
+    else:
+        w = (state.p_hat.T + bank.f @ state.q_hat.T) @ r_inv.T
+    if form == "statistics":
+        raw = w @ state.q_hat.conj() / (mass * state.sigma_s2)
+    else:
+        raw = w @ state.h_hat.conj()
+    masks = np.array([br.mask for br in bank.branches])
+    betas = np.array([br.beta for br in bank.branches])[:, None, None]
+    bank.w[:] = w
+    bank.f[:] = betas * (masks * raw)
     per_pair = n_rx * n_rx + n_rx * n_tx + n_tx * n_rx + n_tx * n_tx + n_tx
     n_pairs = len(bank.branches) * n_tx
     state.op_counts.add(mults=n_pairs * per_pair, adds=n_pairs * per_pair)
@@ -341,13 +348,21 @@ def adaptive_packet(
     r_block = np.asarray(received, dtype=complex)
     if r_block.ndim != 2:
         raise ValueError("received block must be (n_rx, Q)")
+    if not np.all(np.isfinite(r_block)):
+        raise ValueError("received block must be finite")
+    if reorder_every < 0:
+        raise ValueError(f"reorder_every must be non-negative, got {reorder_every}")
     n_rx, q_len = r_block.shape
-    train = np.asarray(training, dtype=complex)
-    n_train = 0 if train.size == 0 else train.shape[1]
     if state is None:
         state = init_rls(branches, n_rx, lam=lam, delta_inv=delta_inv, sigma_s2=sigma_s2)
     bank = state.filters
     n_tx = state.n_tx
+    train = np.asarray(training, dtype=complex)
+    if train.ndim != 2 or train.shape[0] != n_tx or train.shape[1] > q_len:
+        raise ValueError(f"training must be ({n_tx}, at most {q_len}), got {train.shape}")
+    n_train = train.shape[1]
+    if oracle_decisions is not None and np.shape(oracle_decisions) != (n_tx, q_len):
+        raise ValueError(f"oracle decisions must be (n_tx, Q) = {(n_tx, q_len)}")
     decisions = np.empty((n_tx, q_len), dtype=complex)
     betas = [br.beta for br in bank.branches]
     for i in range(q_len):

@@ -8,8 +8,9 @@ branch whose instantaneous error metric is smallest.  Classical baselines
 ordering strategies live here as well.
 
 All detectors accept either a single received vector (n_rx,) or a block
-(n_rx, q) and return a :class:`DetectionResult`; block calls are vectorized
-across columns, which is what makes the Monte Carlo harness fast.
+(n_rx, q) and return a :class:`DetectionResult`.  Detection is vectorized
+over columns and over branches: the decision-feedback sweep takes n_t steps,
+each detecting one stream on all L branches and q columns at once.
 """
 
 from __future__ import annotations
@@ -300,40 +301,40 @@ def _finish(result: DetectionResult, squeeze: bool) -> DetectionResult:
     return result
 
 
-def _branch_sweep(r2d, w_l, f_l, ordering, constellation, s_init=None, ff_seed=False):
-    """One branch's successive detection over a block.
+def _sweep(r2d, w, f, orders, constellation, s_init=None, ff_seed=False):
+    """Successive detection over a block on all L branches at once.
 
-    The working decision vector starts at zero, at this branch's own
-    feedforward-only slices (``ff_seed``), or at ``s_init``, and is refined
-    in place as the sweep walks ``ordering``.  Returns the candidate
-    decisions, the pre-decision statistics z and the feedback inner products
-    f^H s cached at decision time.
+    Each branch's working decision vector starts at zero, at its own
+    feedforward-only slices (``ff_seed``), or at ``s_init``; step k refines
+    stream ``orders[l, k]`` of every branch l.  Returns the decisions, the
+    pre-decision statistics z and the feedback products f^H s, each (L, n_t, q).
     """
-    n_t = w_l.shape[0]
+    n_br, n_t = orders.shape
     q = r2d.shape[1]
-    z_ff = w_l.conj() @ r2d
+    points = constellation.points
+    z_ff = w.conj() @ r2d
     if s_init is not None:
-        s_work = s_init.astype(complex).copy()
+        s_work = np.broadcast_to(s_init, (n_br, n_t, q)).astype(complex)
     elif ff_seed:
-        s_work = constellation.points[slice_to_index(z_ff, constellation)]
+        s_work = points[slice_to_index(z_ff, constellation)]
     else:
-        s_work = np.zeros((n_t, q), dtype=complex)
-    cand = np.empty((n_t, q), dtype=complex)
-    z = np.empty((n_t, q), dtype=complex)
-    z_fb = np.empty((n_t, q), dtype=complex)
-    for j in ordering:
-        fb = f_l[j].conj() @ s_work
-        zj = z_ff[j] - fb
-        cand[j] = constellation.points[slice_to_index(zj, constellation)]
-        s_work[j] = cand[j]
-        z[j] = zj
-        z_fb[j] = fb
-    return cand, z, z_fb
+        s_work = np.zeros((n_br, n_t, q), dtype=complex)
+    z = np.empty((n_br, n_t, q), dtype=complex)
+    z_fb = np.empty((n_br, n_t, q), dtype=complex)
+    rows = np.arange(n_br)
+    for j in orders.T:
+        # every stream is written once, so s_work ends as the decisions
+        fb = (f[rows, j].conj()[:, None] @ s_work)[:, 0]
+        zj = z_ff[rows, j] - fb
+        s_work[rows, j] = points[slice_to_index(zj, constellation)]
+        z[rows, j] = zj
+        z_fb[rows, j] = fb
+    return s_work, z, z_fb
 
 
 def _sweep_ops(counter: OpCounter, n_rx: int, n_t: int, q: int, metric_terms: int):
     # feedforward and feedback inner products plus the metric arithmetic,
-    # per stream and column of one branch
+    # per stream and column; q counts the columns of every branch swept
     counter.add(
         mults=q * n_t * (n_rx + n_t + metric_terms),
         adds=q * n_t * ((n_rx - 1) + (n_t - 1) + 1 + metric_terms),
@@ -402,35 +403,21 @@ def detect_mb_mmse_df(
         raise ValueError(f"unknown feedback seed {feedback_seed!r}")
     if selection not in ("per_stream", "joint"):
         raise ValueError(f"unknown selection {selection!r} (use 'per_stream' or 'joint')")
+    if any(br.n_streams != n_t for br in bank.branches):
+        raise ValueError("branch stream count does not match the filter bank")
     q = r2d.shape[1]
-    cands = np.empty((n_br, n_t, q), dtype=complex)
-    zs = np.empty((n_br, n_t, q), dtype=complex)
-    mets = np.empty((n_br, n_t, q), dtype=float)
+    orders = np.array([br.ordering for br in bank.branches])
+    cands, zs, z_fb = _sweep(
+        r2d, bank.w, bank.f, orders[:, ::-1] if reverse_sweep else orders, constellation,
+        initial_decisions, ff_seed=feedback_seed == "feedforward",
+    )
+    if metric == "reduced":
+        lead = np.abs(cands) ** 2 if energy == "candidate" else float(energy)
+        mets = lead - np.abs(zs + z_fb) ** 2 + np.abs(z_fb) ** 2
+    else:
+        mets = np.abs(cands - zs) ** 2
     counter = OpCounter()
-    for l, br in enumerate(bank.branches):
-        if br.n_streams != n_t:
-            raise ValueError("branch stream count does not match the filter bank")
-        order = br.ordering[::-1] if reverse_sweep else br.ordering
-        cand, z, z_fb = _branch_sweep(
-            r2d,
-            bank.w[l],
-            bank.f[l],
-            order,
-            constellation,
-            initial_decisions,
-            ff_seed=feedback_seed == "feedforward",
-        )
-        if metric == "reduced":
-            if energy == "candidate":
-                lead = np.abs(cand) ** 2
-            else:
-                lead = float(energy)
-            mets[l] = lead - np.abs(z + z_fb) ** 2 + np.abs(z_fb) ** 2
-        else:
-            mets[l] = np.abs(cand - z) ** 2
-        cands[l] = cand
-        zs[l] = z
-        _sweep_ops(counter, n_rx, n_t, q, metric_terms=3 if metric == "reduced" else 1)
+    _sweep_ops(counter, n_rx, n_t, n_br * q, metric_terms=3 if metric == "reduced" else 1)
     if selection == "joint":
         best = np.argmin(mets.sum(axis=1), axis=0)
         chosen = np.broadcast_to(best, (n_t, q)).copy()
@@ -451,16 +438,13 @@ def detect_df(
         raise ValueError(f"branch index {branch} outside the bank (L={n_br})")
     r2d, squeeze = _as_block(r, n_rx)
     q = r2d.shape[1]
-    spec = bank.branches[branch]
-    cand, z, z_fb = _branch_sweep(
-        r2d, bank.w[branch], bank.f[branch], spec.ordering, constellation, ff_seed=True
-    )
+    one = slice(branch, branch + 1)
+    order = bank.branches[branch].ordering[None]
+    cand, z, _ = _sweep(r2d, bank.w[one], bank.f[one], order, constellation, ff_seed=True)
     counter = OpCounter()
     _sweep_ops(counter, n_rx, n_t, q, metric_terms=0)
     met = np.abs(cand - z) ** 2
-    result = DetectionResult(
-        cand, np.full((n_t, q), branch), z[None].copy(), met[None].copy(), counter
-    )
+    result = DetectionResult(cand[0], np.full((n_t, q), branch), z, met, counter)
     return _finish(result, squeeze)
 
 

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from mbdf.adaptive import (
     RlsState,
+    _debiased_r_inv,
     adaptive_filter_update,
     adaptive_packet,
     channel_estimator_ops,
@@ -338,3 +341,112 @@ def test_adaptive_packet_rejects_bad_block():
         adaptive_packet(
             np.ones(4, dtype=complex), np.zeros((4, 0)), QPSK, cyclic_branches(4, 2)
         )
+
+
+def test_adaptive_packet_rejects_non_finite_block():
+    r = np.ones((4, 20), dtype=complex)
+    r[2, 7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_packet(r, np.ones((4, 5)), QPSK, cyclic_branches(4, 2))
+
+
+def test_adaptive_packet_rejects_one_dimensional_training():
+    with pytest.raises(ValueError, match="training"):
+        adaptive_packet(np.ones((4, 20), dtype=complex), np.ones(4), QPSK, cyclic_branches(4, 2))
+
+
+def test_adaptive_packet_rejects_training_longer_than_block():
+    with pytest.raises(ValueError, match="training"):
+        adaptive_packet(
+            np.ones((4, 20), dtype=complex), np.ones((4, 21)), QPSK, cyclic_branches(4, 2)
+        )
+
+
+def test_adaptive_packet_rejects_short_oracle_decisions():
+    with pytest.raises(ValueError, match="oracle"):
+        adaptive_packet(
+            np.ones((4, 20), dtype=complex), np.ones((4, 5)), QPSK, cyclic_branches(4, 2),
+            oracle_decisions=np.ones((4, 19)),
+        )
+
+
+def test_adaptive_packet_rejects_negative_reorder_period():
+    with pytest.raises(ValueError, match="reorder_every"):
+        adaptive_packet(
+            np.ones((4, 20), dtype=complex), np.ones((4, 5)), QPSK, cyclic_branches(4, 2),
+            reorder_every=-5,
+        )
+
+
+def test_adaptive_packet_op_counts_pinned():
+    # the stacked sweep and refresh must charge exactly what the per-branch
+    # and per-pair loops did: the bench's mults_per_vector and
+    # mults_vs_analytic are read from these counts
+    rng = np.random.default_rng(2222)
+    ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(12.0, 4, 2))
+    s = modulate(rng.integers(0, 2, size=(4, 1000)), QPSK)  # 500 symbols
+    r = transmit_block(ch, s, rng)
+    _, st = adaptive_packet(r, s[:, :100], QPSK, build_branches(4, 4, 1.0), reorder_every=50)
+    assert (st.op_counts.mults, st.op_counts.adds) == (740176, 704176)
+
+
+# ---------------------------------------------------------------------------
+# stacked refresh against the per-pair loop
+# ---------------------------------------------------------------------------
+
+def reference_filter_update(state, r_inv, form):
+    """Pair by pair: the (branch, stream) loop the stacked refresh replaced."""
+    bank = state.filters
+    mass = effective_mass(state.lam, state.step)
+    for li, br in enumerate(bank.branches):
+        for j in range(state.n_tx):
+            f_prev = bank.f[li, j]
+            if form == "channel":
+                target = state.h_hat[:, j] + state.h_hat @ f_prev
+                w = mass * state.sigma_s2 * (r_inv @ target)
+            else:
+                w = r_inv @ (state.p_hat[:, j] + state.q_hat @ f_prev)
+            if form == "statistics":
+                raw = state.q_hat.conj().T @ w / (mass * state.sigma_s2)
+            else:
+                raw = state.h_hat.conj().T @ w
+            bank.w[li, j] = w
+            bank.f[li, j] = br.beta * (br.mask[j] * raw)
+
+
+@pytest.mark.parametrize("form", ["mixed", "statistics", "channel"])
+def test_stacked_refresh_matches_per_pair_loop(form):
+    rng = np.random.default_rng(31)
+    ch = rayleigh_channel(5, 4, rng, noise_variance=snr_to_noise_variance(10.0, 4, 2))
+    # mixed betas, orderings and tap patterns across the branches
+    branches = [
+        make_branch(4, [2, 0, 3, 1], 1.0, index=0),
+        make_branch(4, [1, 3, 0, 2], 0.65, index=1),
+        make_branch(4, np.arange(4), 0.3, index=2, pattern="pic"),
+    ]
+    st = init_rls(branches, 5, lam=0.99)
+    run_training(st, ch, rng, 150)  # past the ridge crossover, filters non-zero
+    assert np.max(np.abs(st.filters.f)) > 0
+    for _ in range(3):  # chained refreshes feed f_prev back in
+        ref = copy.deepcopy(st)
+        reference_filter_update(ref, _debiased_r_inv(copy.deepcopy(st)), form)
+        adaptive_filter_update(st, form=form)
+        assert np.max(np.abs(st.filters.w - ref.filters.w)) <= 1e-12
+        assert np.max(np.abs(st.filters.f - ref.filters.f)) <= 1e-12
+
+
+def test_ill_conditioned_ridge_removal_is_counted():
+    st = fresh_state(lam=1.0)  # ridge mass c = init_ridge = 100
+    st.step = 200  # data mass 200 >= c, so the ridge would be removed
+    st.h_hat = np.zeros((4, 4), dtype=complex)
+    # I - c R^-1 = diag(0, 1/2, 1/2, 1/2) is singular
+    st.r_inv = np.diag([1 / 100, 1 / 200, 1 / 200, 1 / 200]).astype(complex)
+    raw = st.r_inv.copy()
+    assert _debiased_r_inv(st) is st.r_inv
+    assert st.cond_fallbacks == 1
+    adaptive_filter_update(st, form="statistics")
+    assert st.cond_fallbacks == 2
+    # a well-conditioned core is de-biased and not counted
+    st.r_inv = raw * np.array([0.5, 1, 1, 1])
+    assert np.allclose(_debiased_r_inv(st), np.eye(4) / 100)
+    assert st.cond_fallbacks == 2

@@ -32,6 +32,7 @@ from mbdf.sysmodel import (
     make_constellation,
     modulate,
     rayleigh_channel,
+    slice_to_index,
     snr_to_noise_variance,
     transmit_block,
 )
@@ -494,3 +495,117 @@ def test_op_counts_scale_linearly_in_branches_and_block():
     half = detect_mb_mmse_df(r[:, :50], bank4, QPSK).op_counts
     assert c4.mults == 2 * half.mults
     assert c4.mults > 0 and c4.adds > 0
+
+
+def test_op_counts_pinned_to_the_per_branch_sweep():
+    # the stacked sweep must charge exactly what the per-branch loop did:
+    # the bench's mults_per_vector is read from these counts
+    rng = np.random.default_rng(2222)
+    ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(12.0, 4, 2))
+    bank = standard_bank(ch, 4, beta=1.0)
+    r = transmit_block(ch, random_symbols(QPSK, 4, 500, rng), rng)
+    expected = {
+        ("full", "joint"): (72000, 70000),
+        ("full", "per_stream"): (72000, 64000),
+        ("reduced", "joint"): (88000, 86000),
+        ("reduced", "per_stream"): (88000, 80000),
+    }
+    for (metric, selection), counts in expected.items():
+        c = detect_mb_mmse_df(r, bank, QPSK, metric=metric, selection=selection).op_counts
+        assert (c.mults, c.adds) == counts, (metric, selection)
+    c = detect_df(r, bank, QPSK).op_counts
+    assert (c.mults, c.adds) == (16000, 14000)
+
+
+# ---------------------------------------------------------------------------
+# Stacked sweep against the per-branch loop
+# ---------------------------------------------------------------------------
+
+def reference_mb_mmse_df(
+    r2d, bank, constellation, metric, energy, initial_decisions, reverse_sweep,
+    feedback_seed, selection,
+):
+    """Branch by branch, stream by stream: the loop the stacked sweep replaced."""
+    points = constellation.points
+    n_br, n_t, _ = bank.w.shape
+    q = r2d.shape[1]
+    cands = np.empty((n_br, n_t, q), dtype=complex)
+    zs = np.empty((n_br, n_t, q), dtype=complex)
+    mets = np.empty((n_br, n_t, q))
+    for l, br in enumerate(bank.branches):
+        z_ff = bank.w[l].conj() @ r2d
+        if initial_decisions is not None:
+            s_work = np.broadcast_to(initial_decisions, (n_t, q)).astype(complex)
+        elif feedback_seed == "feedforward":
+            s_work = points[slice_to_index(z_ff, constellation)]
+        else:
+            s_work = np.zeros((n_t, q), dtype=complex)
+        for j in br.ordering[::-1] if reverse_sweep else br.ordering:
+            fb = bank.f[l, j].conj() @ s_work
+            zj = z_ff[j] - fb
+            s_work[j] = points[slice_to_index(zj, constellation)]
+            zs[l, j] = zj
+            if metric == "reduced":
+                lead = np.abs(s_work[j]) ** 2 if energy == "candidate" else energy
+                mets[l, j] = lead - np.abs(zj + fb) ** 2 + np.abs(fb) ** 2
+            else:
+                mets[l, j] = np.abs(s_work[j] - zj) ** 2
+        cands[l] = s_work
+    if selection == "joint":
+        chosen = np.broadcast_to(np.argmin(mets.sum(axis=1), axis=0), (n_t, q))
+    else:
+        chosen = np.argmin(mets, axis=0)
+    symbols = np.take_along_axis(cands, chosen[None], axis=0)[0]
+    return symbols, chosen, zs, mets
+
+
+@pytest.mark.parametrize(
+    "constellation, snr_db", [(QPSK, 8.0), (QAM16, 14.0)], ids=["qpsk", "16qam"]
+)
+@pytest.mark.parametrize("mode", ["plain", "reverse", "initial", "zero_seed"])
+def test_stacked_sweep_matches_per_branch_loop(constellation, snr_db, mode):
+    rng = np.random.default_rng(4242)
+    noise = snr_to_noise_variance(snr_db, 4, constellation.bits_per_symbol)
+    ch = rayleigh_channel(4, 4, rng, noise_variance=noise)
+    bank = standard_bank(ch, 4, beta=0.65)
+    for q in (1, 7):
+        r = transmit_block(ch, random_symbols(constellation, 4, q, rng), rng)
+        init = random_symbols(constellation, 4, q, rng) if mode == "initial" else None
+        kw = dict(
+            energy=1.5 if mode == "zero_seed" else "candidate",
+            initial_decisions=init,
+            reverse_sweep=mode == "reverse",
+            feedback_seed="zero" if mode == "zero_seed" else "feedforward",
+        )
+        for metric in ("full", "reduced"):
+            for selection in ("joint", "per_stream"):
+                ref = reference_mb_mmse_df(
+                    r, bank, constellation, metric=metric, selection=selection, **kw
+                )
+                # q=1 goes through the single-vector path
+                got = detect_mb_mmse_df(
+                    r[:, 0] if q == 1 else r, bank, constellation,
+                    metric=metric, selection=selection, **kw,
+                )
+                shape = (4,) if q == 1 else (4, q)
+                assert np.array_equal(got.symbols, ref[0].reshape(shape))
+                assert np.array_equal(got.chosen_branch, ref[1].reshape(shape))
+                assert np.max(np.abs(got.soft_outputs - ref[2].reshape(4, *shape))) <= 1e-12
+                assert np.max(np.abs(got.metrics - ref[3].reshape(4, *shape))) <= 1e-12
+
+
+def test_df_sweep_matches_per_branch_loop():
+    rng = np.random.default_rng(4343)
+    ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(10.0, 4, 4))
+    bank = standard_bank(ch, 3, beta=0.65)
+    r = transmit_block(ch, random_symbols(QAM16, 4, 9, rng), rng)
+    for l in range(3):
+        one = FilterBank(bank.w[l : l + 1], bank.f[l : l + 1], bank.branches[l : l + 1])
+        ref = reference_mb_mmse_df(
+            r, one, QAM16, "full", "candidate", None, False, "feedforward", "joint"
+        )
+        got = detect_df(r, bank, QAM16, branch=l)
+        assert np.array_equal(got.symbols, ref[0])
+        assert np.all(got.chosen_branch == l)
+        assert np.max(np.abs(got.soft_outputs - ref[2])) <= 1e-12
+        assert np.max(np.abs(got.metrics - ref[3])) <= 1e-12
