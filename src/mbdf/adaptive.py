@@ -1,11 +1,11 @@
 """Adaptive tracking of the multi-branch decision-feedback receiver.
 
-Recursive least squares keeps three exponentially weighted statistics — the
-input covariance inverse (via the matrix inversion lemma), the input/decision
-cross matrix, and the per-stream steering vectors — and refreshes every
-branch's filter pair once per received symbol in an alternating fashion.  The
-covariance inverse is computed once per symbol and shared by all branches and
-streams.  A companion RLS channel estimator supplies the channel-based filter
+Recursive least squares keeps two exponentially weighted statistics — the
+input covariance inverse (via the matrix inversion lemma) and the
+input/decision cross matrix, whose column j is stream j's steering vector —
+and refreshes every branch's filter pair once per received symbol in an
+alternating fashion.  The covariance inverse is computed once per symbol and
+shared by all branches and streams.  A companion RLS channel estimator supplies the channel-based filter
 refresh and the decision-directed mode of the packet driver.
 
 Scale conventions: the raw statistics carry the data mass
@@ -49,9 +49,7 @@ class RlsState:
         r_inv: (n_rx, n_rx) tracked inverse of the exponentially weighted
             input covariance (initialization ridge included).
         q_hat: (n_rx, n_tx) weighted cross matrix of inputs and fed-back
-            decisions.
-        p_hat: (n_rx, n_tx); column j is the weighted steering vector of
-            stream j.
+            decisions; column j is the weighted steering vector of stream j.
         lam: forgetting factor, 0 < lam < 1 (lam = 1 allowed for the
             growing-window special case used by oracle tests).
         filters: the current FilterBank (w, f and the branch specs).
@@ -68,7 +66,6 @@ class RlsState:
 
     r_inv: np.ndarray
     q_hat: np.ndarray
-    p_hat: np.ndarray
     lam: float
     filters: FilterBank
     h_hat: np.ndarray | None = None
@@ -119,7 +116,6 @@ def init_rls(
     return RlsState(
         r_inv=delta_inv * np.eye(n_rx, dtype=complex),
         q_hat=np.zeros((n_rx, n_tx), dtype=complex),
-        p_hat=np.zeros((n_rx, n_tx), dtype=complex),
         lam=lam,
         filters=bank,
         phi_inv=(1.0 / channel_ridge) * np.eye(n_tx, dtype=complex),
@@ -163,9 +159,9 @@ def rls_covariance_update(state: RlsState, r: np.ndarray) -> RlsState:
 
 
 def rls_stats_update(state: RlsState, r: np.ndarray, decisions: np.ndarray) -> RlsState:
-    """Exponentially weighted refresh of the cross statistics.
+    """Exponentially weighted refresh of the cross statistic.
 
-        Q <- lam Q + r s^H        p_j <- lam p_j + r s_j^*
+        Q <- lam Q + r s^H        (column j is stream j's steering vector p_j)
 
     ``decisions`` is the full selected decision vector for this symbol
     (training symbols during the training phase).
@@ -174,12 +170,10 @@ def rls_stats_update(state: RlsState, r: np.ndarray, decisions: np.ndarray) -> R
     s = np.asarray(decisions, dtype=complex).reshape(-1)
     if s.shape[0] != state.n_tx:
         raise ValueError(f"decision vector length {s.shape[0]} != {state.n_tx}")
-    outer = np.outer(r, s.conj())
-    state.q_hat = state.lam * state.q_hat + outer
-    state.p_hat = state.lam * state.p_hat + outer
+    state.q_hat = state.lam * state.q_hat + np.outer(r, s.conj())
     state.op_counts.add(
-        mults=3 * r.shape[0] * s.shape[0],
-        adds=2 * r.shape[0] * s.shape[0],
+        mults=2 * r.shape[0] * s.shape[0],
+        adds=r.shape[0] * s.shape[0],
     )
     return state
 
@@ -215,7 +209,8 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
     converge to the same fixed point on static channels, differing in which
     statistic each line consumes and hence in scale handling:
 
-        mixed (default): w = R^-1 (p_j + Q f_prev);  f = beta m_j o H_hat^H w.
+        mixed (default): w = R^-1 (p_j + Q f_prev);  f = beta m_j o H_hat^H w,
+            where p_j = Q e_j is stream j's steering vector.
             The w-line uses raw statistics whose masses cancel exactly; the
             f-line uses the true-scale channel estimate.  Needs h_hat.
         statistics: w as above; f = beta m_j o Q^H w / (mass * sigma_s2).
@@ -227,7 +222,7 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
 
     ``m_j o`` keeps the taps that the branch's mask frees for stream j.  All
     L·n_t pairs are refreshed in one stacked product: with F (L, n_t, n_t) the
-    previous feedback filters, W = (P^T + F Q^T) R^-T and f = beta o m o (W H_hat^*)
+    previous feedback filters, W = (Q^T + F Q^T) R^-T and f = beta o m o (W H_hat^*)
     in the mixed form.  Updates ``state.filters`` in place and returns it.
     """
     if form not in _FORMS:
@@ -247,7 +242,7 @@ def adaptive_filter_update(state: RlsState, form: str = "mixed") -> FilterBank:
         target = state.h_hat.T + bank.f @ state.h_hat.T
         w = mass * state.sigma_s2 * (target @ r_inv.T)
     else:
-        w = (state.p_hat.T + bank.f @ state.q_hat.T) @ r_inv.T
+        w = (state.q_hat.T + bank.f @ state.q_hat.T) @ r_inv.T
     if form == "statistics":
         raw = w @ state.q_hat.conj() / (mass * state.sigma_s2)
     else:
@@ -310,7 +305,7 @@ def _stream_mmse_estimates(state: RlsState) -> np.ndarray:
     mass = effective_mass(state.lam, state.step)
     vals = np.empty(state.n_tx)
     for j in range(state.n_tx):
-        pj = state.p_hat[:, j]
+        pj = state.q_hat[:, j]
         vals[j] = state.sigma_s2 - float(np.real(pj.conj() @ state.r_inv @ pj)) / mass
     return vals
 
@@ -334,12 +329,16 @@ def adaptive_packet(
 
     ``received`` is (n_rx, Q); the first ``training.shape[1]`` symbols are
     pilots whose true values feed the statistic updates, after which the
-    receiver switches to decision-directed operation.  Per symbol: one
-    covariance update, decisions with the previous instant's filters to feed
-    the cross statistics, a channel-estimator refresh, one alternating
-    filter refresh, then the output decisions with the fresh filters.  Every
-    ``reorder_every`` data symbols (0 disables) the branch orderings are
-    recomputed from the tracked per-stream MMSE estimates.
+    receiver switches to decision-directed operation.  The state trajectory
+    runs symbol by symbol: one covariance update, decisions with the previous
+    instant's filters to feed the cross statistic, a channel-estimator
+    refresh and one alternating filter refresh.  Every ``reorder_every`` data
+    symbols (0 disables) the branch orderings are recomputed from the tracked
+    per-stream MMSE estimates.  The output decisions feed nothing back, so
+    they run once per ordering segment (up to each reorder, and to the end
+    of the packet): one detection over the segment's columns, each column
+    with the filters refreshed at its own symbol and the orderings of the
+    segment.
 
     ``oracle_decisions`` (n_tx, Q) replaces detected decisions in the
     statistic/estimator updates — the controlled-convergence mode used by
@@ -365,6 +364,21 @@ def adaptive_packet(
         raise ValueError(f"oracle decisions must be (n_tx, Q) = {(n_tx, q_len)}")
     decisions = np.empty((n_tx, q_len), dtype=complex)
     betas = [br.beta for br in bank.branches]
+    # the first segment holds the training symbols and reorder_every data symbols
+    longest = min(q_len, n_train + reorder_every) if reorder_every else q_len
+    seg_w = np.empty((longest,) + bank.w.shape, dtype=complex)
+    seg_f = np.empty((longest,) + bank.f.shape, dtype=complex)
+
+    def detect_segment(start, stop):
+        n = stop - start
+        out = detect_mb_mmse_df(
+            r_block[:, start:stop], FilterBank(seg_w[:n], seg_f[:n], bank.branches),
+            constellation, metric=metric, selection=selection,
+        )
+        decisions[:, start:stop] = out.symbols
+        state.op_counts.merge(out.op_counts)
+
+    start = 0
     for i in range(q_len):
         r = r_block[:, i]
         rls_covariance_update(state, r)
@@ -380,16 +394,17 @@ def adaptive_packet(
         rls_stats_update(state, r, fed)
         rls_channel_estimate(state, r, fed)
         adaptive_filter_update(state, form=form)
-        out = detect_mb_mmse_df(
-            r, bank, constellation, metric=metric, selection=selection
-        )
-        decisions[:, i] = out.symbols
-        state.op_counts.merge(out.op_counts)
+        seg_w[i - start] = bank.w
+        seg_f[i - start] = bank.f
         data_idx = i - n_train
         if reorder_every and data_idx >= 0 and (data_idx + 1) % reorder_every == 0:
+            detect_segment(start, i + 1)
+            start = i + 1
             orders = order_suboptimal(_stream_mmse_estimates(state), len(betas))
             bank.branches = [
                 make_branch(n_tx, orders[li], b, index=li)
                 for li, b in enumerate(betas)
             ]
+    if start < q_len:
+        detect_segment(start, q_len)
     return decisions, state

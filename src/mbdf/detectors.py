@@ -304,32 +304,40 @@ def _finish(result: DetectionResult, squeeze: bool) -> DetectionResult:
 def _sweep(r2d, w, f, orders, constellation, s_init=None, ff_seed=False):
     """Successive detection over a block on all L branches at once.
 
-    Each branch's working decision vector starts at zero, at its own
-    feedforward-only slices (``ff_seed``), or at ``s_init``; step k refines
-    stream ``orders[l, k]`` of every branch l.  Returns the decisions, the
-    pre-decision statistics z and the feedback products f^H s, each (L, n_t, q).
+    ``w``/``f`` are one bank, (L, n_t, ·), shared by every column of
+    ``r2d``, or carry a leading per-column axis, (q, L, n_t, ·), so that
+    column c is detected with bank c.  Both run the same products: a shared
+    bank keeps the columns in the matmul's column dimension, a per-column
+    bank makes each column a batch of its own.  Each branch's working
+    decision vector starts at zero, at its own feedforward-only slices
+    (``ff_seed``), or at ``s_init``; step k refines stream ``orders[l, k]``
+    of every branch l.  Returns the decisions, the pre-decision statistics z
+    and the feedback products f^H s, each (L, n_t, q).
     """
-    n_br, n_t = orders.shape
-    q = r2d.shape[1]
+    per_column = w.ndim == 4
     points = constellation.points
-    z_ff = w.conj() @ r2d
+    rows = np.arange(orders.shape[0])
+    # (n_rx, q) -> (q, 1, n_rx, 1): one column per batch entry
+    z_ff = w.conj() @ (r2d.T[:, None, :, None] if per_column else r2d)
     if s_init is not None:
-        s_work = np.broadcast_to(s_init, (n_br, n_t, q)).astype(complex)
+        seed = s_init.T[:, None, :, None] if per_column else s_init
+        s_work = np.broadcast_to(seed, z_ff.shape).astype(complex)
     elif ff_seed:
         s_work = points[slice_to_index(z_ff, constellation)]
     else:
-        s_work = np.zeros((n_br, n_t, q), dtype=complex)
-    z = np.empty((n_br, n_t, q), dtype=complex)
-    z_fb = np.empty((n_br, n_t, q), dtype=complex)
-    rows = np.arange(n_br)
+        s_work = np.zeros(z_ff.shape, dtype=complex)
+    z_fb = np.empty(z_ff.shape, dtype=complex)
+    f_h = f.conj()
     for j in orders.T:
         # every stream is written once, so s_work ends as the decisions
-        fb = (f[rows, j].conj()[:, None] @ s_work)[:, 0]
-        zj = z_ff[rows, j] - fb
-        s_work[rows, j] = points[slice_to_index(zj, constellation)]
-        z[rows, j] = zj
-        z_fb[rows, j] = fb
-    return s_work, z, z_fb
+        fb = (f_h[..., rows, j, :][..., None, :] @ s_work)[..., 0, :]
+        zj = z_ff[..., rows, j, :] - fb
+        s_work[..., rows, j, :] = points[slice_to_index(zj, constellation)]
+        z_fb[..., rows, j, :] = fb
+    out = s_work, z_ff - z_fb, z_fb
+    if per_column:
+        return tuple(np.moveaxis(x[..., 0], 0, -1) for x in out)
+    return out
 
 
 def _sweep_ops(counter: OpCounter, n_rx: int, n_t: int, q: int, metric_terms: int):
@@ -388,11 +396,19 @@ def detect_mb_mmse_df(
     ``initial_decisions`` overrides the seed entirely and ``reverse_sweep``
     runs each branch's ordering backwards; the multi-stage detector uses
     both.
+
+    ``bank`` may carry a leading per-column axis (see :class:`FilterBank`):
+    column c of the block is then detected with bank c, and every column
+    still uses the branch orderings of ``bank.branches``.
     """
-    n_br, n_t, n_rx = bank.w.shape
+    n_br, n_t, n_rx = bank.w.shape[-3:]
     r2d, squeeze = _as_block(r, n_rx)
     if len(bank.branches) != n_br:
         raise ValueError("filter bank and branch list sizes disagree")
+    if bank.w.ndim == 4 and bank.w.shape[0] != r2d.shape[1]:
+        raise ValueError(
+            f"per-column bank has {bank.w.shape[0]} columns, block has {r2d.shape[1]}"
+        )
     if initial_decisions is not None:
         initial_decisions = np.broadcast_to(
             np.asarray(initial_decisions, dtype=complex), (n_t, r2d.shape[1])

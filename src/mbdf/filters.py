@@ -177,7 +177,11 @@ class FilterBank:
     """Feedforward/feedback filters for every (branch, stream) pair.
 
     ``w[l, j]`` is the length-n_rx feedforward filter and ``f[l, j]`` the
-    length-n_tx feedback filter of stream j on branch l.
+    length-n_tx feedback filter of stream j on branch l.  ``w`` and ``f`` may
+    carry an optional leading per-column axis, (q, L, n_t, ·): ``w[c]`` and
+    ``f[c]`` are then the bank that column c of a received block is detected
+    with (:func:`~mbdf.detectors.detect_mb_mmse_df`), under the one set of
+    ``branches``.
     """
 
     w: np.ndarray
@@ -186,14 +190,14 @@ class FilterBank:
 
     @property
     def n_branches(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-3]
 
     @property
     def n_streams(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-2]
 
     def entry(self, j: int, l: int = 0):
-        return self.w[l, j], self.f[l, j]
+        return self.w[..., l, j, :], self.f[..., l, j, :]
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,13 @@ def config_hash(cfg: SimConfig) -> str:
 
 @dataclass
 class PointResult:
-    """Aggregate of one SNR grid point."""
+    """Aggregate of one SNR grid point.
+
+    ``ci_low``/``ci_high`` bound the BER by the 95% Wilson score interval.
+    ``cond_fallbacks`` sums the adaptive receiver's ill-conditioned ridge
+    removals (``RlsState.cond_fallbacks``) over the point's packets; it is 0
+    for runs with known channels.
+    """
 
     snr_db: float
     bits: int
@@ -194,6 +200,7 @@ class PointResult:
     frame_errors: int
     mults_per_vector: float
     adds_per_vector: float
+    cond_fallbacks: int = 0
 
 
 @dataclass
@@ -214,9 +221,19 @@ class BerReport:
 
 
 def _confidence(bits: int, errors: int) -> tuple[float, float, float]:
-    ber = errors / bits if bits else 0.0
-    half = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits) if bits else 0.0
-    return ber, max(ber - half, 0.0), min(ber + half, 1.0)
+    """BER and its 95% Wilson score interval, [0, z²/(n+z²)] at zero errors.
+
+    Unlike the Wald interval it does not collapse to [0, 0] when no error
+    was seen.  With no bits at all, nothing is known: [0, 1].
+    """
+    if not bits:
+        return 0.0, 0.0, 1.0
+    z = 1.96
+    ber = errors / bits
+    z2n = z * z / bits
+    center = (ber + z2n / 2) / (1 + z2n)
+    half = z * math.sqrt(ber * (1.0 - ber) / bits + z2n / (4 * bits)) / (1 + z2n)
+    return ber, max(center - half, 0.0), min(center + half, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +298,7 @@ def _run_point(cfg: SimConfig, snr_db: float, seed_seq) -> PointResult:
     n_tr = cfg.training_len
     k_info = q * c_bits // 2 - 2  # info bits per stream, coded packets
     bits = errors = frames = frame_errors = vectors = 0
-    ops_m = ops_a = 0
+    ops_m = ops_a = fallbacks = 0
     while errors < cfg.min_errors and bits < cfg.max_bits:
         if cfg.channel_mode == "jakes":
             channel = jakes_sequence(
@@ -322,6 +339,7 @@ def _run_point(cfg: SimConfig, snr_db: float, seed_seq) -> PointResult:
             pkt_errors = int(np.sum(got != info))
             ops_m += state.op_counts.mults
             ops_a += state.op_counts.adds
+            fallbacks += state.cond_fallbacks
         elif cfg.coded:
             bank, _ = _design_bank(cfg, channel, noise, fixed_branches)
             res = turbo_receive(
@@ -352,6 +370,7 @@ def _run_point(cfg: SimConfig, snr_db: float, seed_seq) -> PointResult:
         snr_db, bits, errors, ber, lo, hi, frames, frame_errors,
         ops_m / vectors if vectors else 0.0,
         ops_a / vectors if vectors else 0.0,
+        fallbacks,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from mbdf.adaptive import (
     RlsState,
     _debiased_r_inv,
+    _stream_mmse_estimates,
     adaptive_filter_update,
     adaptive_packet,
     channel_estimator_ops,
@@ -15,12 +16,13 @@ from mbdf.adaptive import (
     rls_covariance_update,
     rls_stats_update,
 )
-from mbdf.detectors import build_branches
+from mbdf.detectors import build_branches, detect_mb_mmse_df, order_suboptimal
 from mbdf.filters import design_perfect_feedback, make_branch
 from mbdf.sysmodel import (
     ChannelRealization,
     make_constellation,
     modulate,
+    jakes_sequence,
     rayleigh_channel,
     snr_to_noise_variance,
     transmit_block,
@@ -59,7 +61,7 @@ def run_training(state, channel, rng, n_symbols, reorder=False):
 def test_initialization_is_scaled_identity():
     st = fresh_state()
     assert np.allclose(st.r_inv, 1e-2 * np.eye(4))
-    assert np.all(st.q_hat == 0) and np.all(st.p_hat == 0)
+    assert np.all(st.q_hat == 0)
     assert np.all(st.filters.w == 0) and np.all(st.filters.f == 0)
 
 
@@ -133,7 +135,6 @@ def test_zero_forgetting_keeps_instantaneous_outer_product():
     rls_stats_update(st, r, s)
     rls_stats_update(st, r + 1, s)  # second update forgets the first
     assert np.allclose(st.q_hat, np.outer(r + 1, s.conj()), atol=1e-10)
-    assert np.allclose(st.p_hat, st.q_hat)
 
 
 def test_cross_matrix_converges_to_scaled_channel():
@@ -380,14 +381,126 @@ def test_adaptive_packet_rejects_negative_reorder_period():
 
 def test_adaptive_packet_op_counts_pinned():
     # the stacked sweep and refresh must charge exactly what the per-branch
-    # and per-pair loops did: the bench's mults_per_vector and
+    # and per-pair loops did, less the second copy of the cross statistic
+    # (16 mults and 16 adds per symbol): the bench's mults_per_vector and
     # mults_vs_analytic are read from these counts
     rng = np.random.default_rng(2222)
     ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(12.0, 4, 2))
     s = modulate(rng.integers(0, 2, size=(4, 1000)), QPSK)  # 500 symbols
     r = transmit_block(ch, s, rng)
     _, st = adaptive_packet(r, s[:, :100], QPSK, build_branches(4, 4, 1.0), reorder_every=50)
-    assert (st.op_counts.mults, st.op_counts.adds) == (740176, 704176)
+    assert (st.op_counts.mults, st.op_counts.adds) == (732176, 696176)
+
+
+# ---------------------------------------------------------------------------
+# segment detection against the per-symbol loop
+# ---------------------------------------------------------------------------
+
+def reference_adaptive_packet(
+    received, training, constellation, branches, form="mixed", metric="full",
+    selection="joint", reorder_every=50, state=None, oracle_decisions=None,
+):
+    """Symbol by symbol, output detection included: the loop that detecting
+    once per ordering segment replaced."""
+    n_rx, q_len = received.shape
+    if state is None:
+        state = init_rls(branches, n_rx)
+    bank = state.filters
+    n_train = training.shape[1]
+    decisions = np.empty((state.n_tx, q_len), dtype=complex)
+    betas = [br.beta for br in bank.branches]
+    for i in range(q_len):
+        r = received[:, i]
+        rls_covariance_update(state, r)
+        if oracle_decisions is not None:
+            fed = oracle_decisions[:, i]
+        elif i < n_train:
+            fed = training[:, i]
+        else:
+            fed = detect_mb_mmse_df(
+                r, bank, constellation, metric=metric, selection=selection
+            ).symbols
+        rls_stats_update(state, r, fed)
+        rls_channel_estimate(state, r, fed)
+        adaptive_filter_update(state, form=form)
+        out = detect_mb_mmse_df(r, bank, constellation, metric=metric, selection=selection)
+        decisions[:, i] = out.symbols
+        state.op_counts.merge(out.op_counts)
+        data_idx = i - n_train
+        if reorder_every and data_idx >= 0 and (data_idx + 1) % reorder_every == 0:
+            orders = order_suboptimal(_stream_mmse_estimates(state), len(betas))
+            bank.branches = [
+                make_branch(state.n_tx, orders[li], b, index=li)
+                for li, b in enumerate(betas)
+            ]
+    return decisions, state
+
+
+def jakes_packet(seed, n_symbols=130):
+    rng = np.random.default_rng(seed)
+    noise = snr_to_noise_variance(12.0, 4, 2)
+    ch = jakes_sequence(5, 4, 3e-3, n_symbols, rng, noise_variance=noise)
+    s = modulate(rng.integers(0, 2, size=(4, 2 * n_symbols)), QPSK)
+    return transmit_block(ch, s, rng), s
+
+
+def assert_same_packet(got, ref):
+    (dec, st), (ref_dec, ref_st) = got, ref
+    assert np.array_equal(dec, ref_dec)
+    for name in ("r_inv", "q_hat", "h_hat"):
+        assert np.max(np.abs(getattr(st, name) - getattr(ref_st, name))) <= 1e-12, name
+    assert np.max(np.abs(st.filters.w - ref_st.filters.w)) <= 1e-12
+    assert np.max(np.abs(st.filters.f - ref_st.filters.f)) <= 1e-12
+    assert (st.op_counts.mults, st.op_counts.adds) == (
+        ref_st.op_counts.mults, ref_st.op_counts.adds
+    )
+    assert (st.step, st.cond_fallbacks) == (ref_st.step, ref_st.cond_fallbacks)
+    for br, ref_br in zip(st.filters.branches, ref_st.filters.branches, strict=True):
+        assert np.array_equal(br.ordering, ref_br.ordering)
+
+
+@pytest.mark.parametrize(
+    "form, reorder_every, metric, selection",
+    [
+        ("mixed", 0, "full", "joint"),
+        ("mixed", 7, "reduced", "per_stream"),
+        ("mixed", 50, "full", "per_stream"),
+        ("statistics", 0, "reduced", "joint"),
+        ("statistics", 7, "full", "joint"),
+        ("statistics", 50, "reduced", "per_stream"),
+        ("channel", 0, "full", "per_stream"),
+        ("channel", 7, "reduced", "joint"),
+        ("channel", 50, "full", "joint"),
+    ],
+)
+def test_segment_detection_matches_per_symbol_loop(form, reorder_every, metric, selection):
+    r, s = jakes_packet(51)
+    kw = dict(form=form, metric=metric, selection=selection, reorder_every=reorder_every)
+    got = adaptive_packet(r, s[:, :30], QPSK, build_branches(4, 3, 0.65), **kw)
+    ref = reference_adaptive_packet(r, s[:, :30], QPSK, build_branches(4, 3, 0.65), **kw)
+    assert_same_packet(got, ref)
+
+
+def test_segment_detection_matches_per_symbol_loop_with_oracle_decisions():
+    r, s = jakes_packet(52)
+    kw = dict(reorder_every=25, oracle_decisions=s)
+    got = adaptive_packet(r, s[:, :20], QPSK, build_branches(4, 4, 1.0), **kw)
+    ref = reference_adaptive_packet(r, s[:, :20], QPSK, build_branches(4, 4, 1.0), **kw)
+    assert_same_packet(got, ref)
+
+
+def test_segment_detection_matches_per_symbol_loop_with_carried_state():
+    r, s = jakes_packet(53, n_symbols=200)
+    _, first = adaptive_packet(r[:, :90], s[:, :40], QPSK, build_branches(4, 4, 1.0))
+    kw = dict(reorder_every=30, metric="reduced")
+    # no training in the second packet: it runs decision-directed throughout
+    got = adaptive_packet(
+        r[:, 90:], s[:, :0], QPSK, None, state=copy.deepcopy(first), **kw
+    )
+    ref = reference_adaptive_packet(
+        r[:, 90:], s[:, :0], QPSK, None, state=copy.deepcopy(first), **kw
+    )
+    assert_same_packet(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +518,7 @@ def reference_filter_update(state, r_inv, form):
                 target = state.h_hat[:, j] + state.h_hat @ f_prev
                 w = mass * state.sigma_s2 * (r_inv @ target)
             else:
-                w = r_inv @ (state.p_hat[:, j] + state.q_hat @ f_prev)
+                w = r_inv @ (state.q_hat[:, j] + state.q_hat @ f_prev)
             if form == "statistics":
                 raw = state.q_hat.conj().T @ w / (mass * state.sigma_s2)
             else:

@@ -609,3 +609,86 @@ def test_df_sweep_matches_per_branch_loop():
         assert np.all(got.chosen_branch == l)
         assert np.max(np.abs(got.soft_outputs - ref[2])) <= 1e-12
         assert np.max(np.abs(got.metrics - ref[3])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Per-column banks against one call per column
+# ---------------------------------------------------------------------------
+
+def per_column_case(constellation, snr_db, q, rng):
+    """q channels, one column received over each, and the bank of each."""
+    noise = snr_to_noise_variance(snr_db, 4, constellation.bits_per_symbol)
+    branches = build_branches(4, 4, 0.65)
+    banks, cols = [], []
+    for _ in range(q):
+        ch = rayleigh_channel(4, 4, rng, noise_variance=noise)
+        banks.append(design_perfect_feedback(ch, branches, tol=1e-12))
+        cols.append(transmit_block(ch, random_symbols(constellation, 4, 1, rng), rng))
+    bank = FilterBank(
+        np.stack([b.w for b in banks]), np.stack([b.f for b in banks]), branches
+    )
+    return np.hstack(cols), bank
+
+
+@pytest.mark.parametrize(
+    "constellation, snr_db", [(QPSK, 8.0), (QAM16, 14.0)], ids=["qpsk", "16qam"]
+)
+@pytest.mark.parametrize("mode", ["plain", "reverse", "initial", "zero_seed"])
+def test_per_column_bank_matches_one_call_per_column(constellation, snr_db, mode):
+    rng = np.random.default_rng(4545)
+    q = 7
+    r, bank = per_column_case(constellation, snr_db, q, rng)
+    init = random_symbols(constellation, 4, q, rng) if mode == "initial" else None
+    kw = dict(
+        energy=1.5 if mode == "zero_seed" else "candidate",
+        reverse_sweep=mode == "reverse",
+        feedback_seed="zero" if mode == "zero_seed" else "feedforward",
+    )
+    for metric in ("full", "reduced"):
+        for selection in ("joint", "per_stream"):
+            got = detect_mb_mmse_df(
+                r, bank, constellation, metric=metric, selection=selection,
+                initial_decisions=init, **kw,
+            )
+            mults = adds = 0
+            for c in range(q):
+                one = detect_mb_mmse_df(
+                    r[:, c], FilterBank(bank.w[c], bank.f[c], bank.branches),
+                    constellation, metric=metric, selection=selection,
+                    initial_decisions=None if init is None else init[:, c : c + 1], **kw,
+                )
+                assert np.array_equal(got.symbols[:, c], one.symbols)
+                assert np.array_equal(got.chosen_branch[:, c], one.chosen_branch)
+                assert np.max(np.abs(got.soft_outputs[..., c] - one.soft_outputs)) <= 1e-12
+                assert np.max(np.abs(got.metrics[..., c] - one.metrics)) <= 1e-12
+                mults += one.op_counts.mults
+                adds += one.op_counts.adds
+            assert (got.op_counts.mults, got.op_counts.adds) == (mults, adds)
+
+
+def test_per_column_bank_of_equal_columns_matches_shared_bank():
+    rng = np.random.default_rng(4646)
+    ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(10.0, 4, 2))
+    bank = standard_bank(ch, 4, beta=0.65)
+    for q in (1, 9):
+        r = transmit_block(ch, random_symbols(QPSK, 4, q, rng), rng)
+        same = FilterBank(
+            np.broadcast_to(bank.w, (q,) + bank.w.shape),
+            np.broadcast_to(bank.f, (q,) + bank.f.shape),
+            bank.branches,
+        )
+        # q=1 goes through the single-vector path
+        x = r[:, 0] if q == 1 else r
+        for metric in ("full", "reduced"):
+            for selection in ("joint", "per_stream"):
+                a = detect_mb_mmse_df(x, bank, QPSK, metric=metric, selection=selection)
+                b = detect_mb_mmse_df(x, same, QPSK, metric=metric, selection=selection)
+                assert np.array_equal(a.symbols, b.symbols)
+                assert np.array_equal(a.chosen_branch, b.chosen_branch)
+                assert np.max(np.abs(a.soft_outputs - b.soft_outputs)) <= 1e-12
+                assert np.max(np.abs(a.metrics - b.metrics)) <= 1e-12
+                assert (a.op_counts.mults, a.op_counts.adds) == (
+                    b.op_counts.mults, b.op_counts.adds
+                )
+    with pytest.raises(ValueError, match="columns"):
+        detect_mb_mmse_df(r[:, :5], same, QPSK)

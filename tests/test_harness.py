@@ -11,11 +11,13 @@ import pytest
 from mbdf.cli import main
 from mbdf.codec import MIN_MODEL_SAMPLES
 from mbdf.detectors import DetectorConfig, build_branches, detect_mb_mmse_df
+import mbdf.harness as harness
 from mbdf.filters import design_perfect_feedback
 from mbdf.harness import (
     BerReport,
     PointResult,
     SimConfig,
+    _confidence,
     complexity_table,
     config_hash,
     diversity_slope,
@@ -204,6 +206,53 @@ def test_confidence_interval_honesty():
         ).points[0]
         hits += int(p.ci_low <= ref <= p.ci_high)
     assert hits >= 18
+
+
+def test_wilson_interval_matches_closed_form_at_the_extremes():
+    z2 = 1.96**2
+    for n in (1, 7, 100, 10_000, 2_000_000):
+        ber, lo, hi = _confidence(n, 0)
+        assert ber == 0.0 and lo == pytest.approx(0.0, abs=1e-15)
+        assert hi == pytest.approx(z2 / (n + z2), rel=1e-12)
+        # all errors mirrors it: [n/(n+z²), 1]
+        ber, lo, hi = _confidence(n, n)
+        assert ber == 1.0 and hi == pytest.approx(1.0, abs=1e-15)
+        assert lo == pytest.approx(n / (n + z2), rel=1e-12)
+    # an error-free sweep point keeps an interval of non-zero width
+    point = run_ber_sweep(tiny(snr_grid=(300.0,), max_bits=2_000)).points[0]
+    assert point.bit_errors == 0
+    assert point.ci_high == pytest.approx(z2 / (point.bits + z2), rel=1e-12)
+
+
+def test_point_result_carries_the_adaptive_fallback_count(monkeypatch, tmp_path):
+    cfg = tiny(
+        csi="adaptive",
+        training_len=30,
+        packet_len=40,
+        min_errors=10**9,
+        max_bits=3 * 2 * 40 * 2,  # three packets
+    )
+    real = harness.adaptive_packet
+    counts = []
+
+    def planted(*args, **kw):
+        decisions, state = real(*args, **kw)
+        state.cond_fallbacks += len(counts) + 1  # known, non-zero per packet
+        counts.append(state.cond_fallbacks)
+        return decisions, state
+
+    monkeypatch.setattr(harness, "adaptive_packet", planted)
+    report = run_ber_sweep(cfg)
+    point = report.points[0]
+    assert point.frames == len(counts) == 3
+    assert point.cond_fallbacks == sum(counts) > 0
+    write_json(report, tmp_path / "r.json")
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["points"][0]["cond_fallbacks"] == point.cond_fallbacks
+    monkeypatch.undo()
+    # the unpatched run lacks only the planted 1 + 2 + 3
+    assert run_ber_sweep(cfg).points[0].cond_fallbacks == sum(counts) - 6
+    assert run_ber_sweep(tiny(max_bits=2_000)).points[0].cond_fallbacks == 0
 
 
 def test_training_symbols_never_counted():
