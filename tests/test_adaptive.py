@@ -20,9 +20,9 @@ from mbdf.detectors import build_branches, detect_mb_mmse_df, order_suboptimal
 from mbdf.filters import design_perfect_feedback, make_branch
 from mbdf.sysmodel import (
     ChannelRealization,
+    jakes_sequence,
     make_constellation,
     modulate,
-    jakes_sequence,
     rayleigh_channel,
     snr_to_noise_variance,
     transmit_block,
