@@ -3,12 +3,15 @@
 The centerpiece is the multi-branch MMSE decision-feedback detector: L
 parallel branches, each detecting all streams successively with its own
 ordering and feedback tap pattern, followed by a per-stream selection of the
-branch whose instantaneous error metric is smallest.  Classical baselines
-(exhaustive ML, linear MMSE, MMSE-SIC, single-branch DF) and the two branch
-ordering strategies live here as well.
+branch whose instantaneous error metric is smallest.  The suboptimal
+baselines are bank recipes for the same kernel, :func:`detect_mb_mmse_df`:
+linear MMSE is one natural-order branch with beta = 0, and MMSE-SIC or
+single-branch DF is one natural-order branch with feedback.  Exhaustive ML
+(:func:`detect_ml`), the multi-stage refinement and the branch orderings
+live here as well.
 
-All detectors accept either a single received vector (n_rx,) or a block
-(n_rx, q) and return a :class:`DetectionResult`.  Detection is vectorized
+Every detector accepts either a single received vector (n_rx,) or a block
+(n_rx, q) and returns a :class:`DetectionResult`.  Detection is vectorized
 over columns and over branches: the decision-feedback sweep takes n_t steps,
 each detecting one stream on all L branches and q columns at once.
 """
@@ -26,7 +29,6 @@ from .filters import (
     BranchSpec,
     FilterBank,
     branch_mmse,
-    design_perfect_feedback,
     make_branch,
     mmse_linear,
     perfect_feedback_stats,
@@ -41,9 +43,6 @@ __all__ = [
     "order_optimal",
     "order_suboptimal",
     "detect_mb_mmse_df",
-    "detect_df",
-    "detect_sic",
-    "detect_linear",
     "detect_ml",
     "multi_stage",
 ]
@@ -301,7 +300,7 @@ def _finish(result: DetectionResult, squeeze: bool) -> DetectionResult:
     return result
 
 
-def _sweep(r2d, w, f, orders, constellation, s_init=None, ff_seed=False):
+def _sweep(r2d, w, f, orders, constellation, s_init=None):
     """Successive detection over a block on all L branches at once.
 
     ``w``/``f`` are one bank, (L, n_t, ·), shared by every column of
@@ -309,44 +308,36 @@ def _sweep(r2d, w, f, orders, constellation, s_init=None, ff_seed=False):
     column c is detected with bank c.  Both run the same products: a shared
     bank keeps the columns in the matmul's column dimension, a per-column
     bank makes each column a batch of its own.  Each branch's working
-    decision vector starts at zero, at its own feedforward-only slices
-    (``ff_seed``), or at ``s_init``; step k refines stream ``orders[l, k]``
-    of every branch l.  Returns the decisions, the pre-decision statistics z
-    and the feedback products f^H s, each (L, n_t, q).
+    decision vector starts at its own feedforward-only slices, or at
+    ``s_init``; step k refines stream ``orders[l, k]`` of every branch l.
+    ``f`` is None for a bank without feedback taps: the feedforward slices
+    are then the decisions and the n_t steps are skipped.  Returns the
+    decisions, the pre-decision statistics z and the feedback products
+    f^H s, each (L, n_t, q).
     """
     per_column = w.ndim == 4
     points = constellation.points
     rows = np.arange(orders.shape[0])
     # (n_rx, q) -> (q, 1, n_rx, 1): one column per batch entry
     z_ff = w.conj() @ (r2d.T[:, None, :, None] if per_column else r2d)
-    if s_init is not None:
-        seed = s_init.T[:, None, :, None] if per_column else s_init
-        s_work = np.broadcast_to(seed, z_ff.shape).astype(complex)
-    elif ff_seed:
+    if s_init is None or f is None:
         s_work = points[slice_to_index(z_ff, constellation)]
     else:
-        s_work = np.zeros(z_ff.shape, dtype=complex)
-    z_fb = np.empty(z_ff.shape, dtype=complex)
-    f_h = f.conj()
-    for j in orders.T:
-        # every stream is written once, so s_work ends as the decisions
-        fb = (f_h[..., rows, j, :][..., None, :] @ s_work)[..., 0, :]
-        zj = z_ff[..., rows, j, :] - fb
-        s_work[..., rows, j, :] = points[slice_to_index(zj, constellation)]
-        z_fb[..., rows, j, :] = fb
+        seed = s_init.T[:, None, :, None] if per_column else s_init
+        s_work = np.broadcast_to(seed, z_ff.shape).astype(complex)
+    z_fb = np.zeros(z_ff.shape, dtype=complex)
+    if f is not None:
+        f_h = f.conj()
+        for j in orders.T:
+            # every stream is written once, so s_work ends as the decisions
+            fb = (f_h[..., rows, j, :][..., None, :] @ s_work)[..., 0, :]
+            zj = z_ff[..., rows, j, :] - fb
+            s_work[..., rows, j, :] = points[slice_to_index(zj, constellation)]
+            z_fb[..., rows, j, :] = fb
     out = s_work, z_ff - z_fb, z_fb
     if per_column:
         return tuple(np.moveaxis(x[..., 0], 0, -1) for x in out)
     return out
-
-
-def _sweep_ops(counter: OpCounter, n_rx: int, n_t: int, q: int, metric_terms: int):
-    # feedforward and feedback inner products plus the metric arithmetic,
-    # per stream and column; q counts the columns of every branch swept
-    counter.add(
-        mults=q * n_t * (n_rx + n_t + metric_terms),
-        adds=q * n_t * ((n_rx - 1) + (n_t - 1) + 1 + metric_terms),
-    )
 
 
 def detect_mb_mmse_df(
@@ -354,18 +345,18 @@ def detect_mb_mmse_df(
     bank: FilterBank,
     constellation: Constellation,
     metric: str = "full",
-    energy: str | float = "candidate",
     initial_decisions: np.ndarray | None = None,
     reverse_sweep: bool = False,
-    feedback_seed: str = "feedforward",
     selection: str = "joint",
 ) -> DetectionResult:
     """Multi-branch decision-feedback detection with branch selection.
 
-    Every branch seeds its feedback vector with initial decisions, then
-    detects the streams in its own order, replacing entries with refined
-    hard slices as it goes.  The branch with the smallest instantaneous
-    metric wins:
+    Every branch seeds its feedback vector with its own feedforward-only
+    slices (the tap patterns allocate feedback connections to streams
+    detected later in the sweep, so the filters expect every interferer to
+    be present in the feedback vector), then detects the streams in its own
+    order, replacing entries with refined hard slices as it goes.  The
+    branch with the smallest instantaneous metric wins:
 
         full (default): |s_cand - (w^H r - f^H s_dec)|^2
         reduced:         |s_cand|^2 - |w^H r|^2 + |f^H s_dec|^2
@@ -386,16 +377,16 @@ def detect_mb_mmse_df(
     which costs roughly a factor of two in error rate at moderate SNR but
     matches the per-stream form of the selection rule.
 
-    ``energy`` controls the leading term of the reduced metric: the sliced
-    candidate's own energy (default), or a constant.  ``feedback_seed``
-    chooses the initial decisions: ``"feedforward"`` (default; each branch's
-    own feedforward-only slices — the tap patterns allocate feedback
-    connections to streams detected later in the sweep, so the filters
-    expect every interferer to be present in the feedback vector) or
-    ``"zero"`` (strictly sequential: only already-swept streams feed back).
-    ``initial_decisions`` overrides the seed entirely and ``reverse_sweep``
-    runs each branch's ordering backwards; the multi-stage detector uses
-    both.
+    ``initial_decisions``, (n_t,) or (n_t, q), overrides the seed and
+    ``reverse_sweep`` runs each branch's ordering backwards; the multi-stage
+    detector uses both.
+
+    The suboptimal receivers are recipes for this one kernel: linear MMSE
+    is a bank whose feedback filters are all zero (beta = 0 or empty tap
+    masks), which is detected by one slice of w^H r, and MMSE-SIC/DF is a
+    single branch in natural order.  A single branch has nothing to select,
+    so it is charged no metric or selection arithmetic; ``metrics`` is
+    still returned.
 
     ``bank`` may carry a leading per-column axis (see :class:`FilterBank`):
     column c of the block is then detected with bank c, and every column
@@ -403,128 +394,44 @@ def detect_mb_mmse_df(
     """
     n_br, n_t, n_rx = bank.w.shape[-3:]
     r2d, squeeze = _as_block(r, n_rx)
+    q = r2d.shape[1]
     if len(bank.branches) != n_br:
         raise ValueError("filter bank and branch list sizes disagree")
-    if bank.w.ndim == 4 and bank.w.shape[0] != r2d.shape[1]:
-        raise ValueError(
-            f"per-column bank has {bank.w.shape[0]} columns, block has {r2d.shape[1]}"
-        )
+    if bank.w.ndim == 4 and bank.w.shape[0] != q:
+        raise ValueError(f"per-column bank has {bank.w.shape[0]} columns, block has {q}")
     if initial_decisions is not None:
-        initial_decisions = np.broadcast_to(
-            np.asarray(initial_decisions, dtype=complex), (n_t, r2d.shape[1])
-        )
+        init = np.asarray(initial_decisions, dtype=complex)
+        initial_decisions = np.broadcast_to(init[:, None] if init.ndim == 1 else init, (n_t, q))
     if metric not in ("reduced", "full"):
         raise ValueError(f"unknown metric {metric!r} (use 'reduced' or 'full')")
-    if feedback_seed not in ("zero", "feedforward"):
-        raise ValueError(f"unknown feedback seed {feedback_seed!r}")
     if selection not in ("per_stream", "joint"):
         raise ValueError(f"unknown selection {selection!r} (use 'per_stream' or 'joint')")
     if any(br.n_streams != n_t for br in bank.branches):
         raise ValueError("branch stream count does not match the filter bank")
-    q = r2d.shape[1]
     orders = np.array([br.ordering for br in bank.branches])
+    feedback = np.count_nonzero(bank.f) > 0
     cands, zs, z_fb = _sweep(
-        r2d, bank.w, bank.f, orders[:, ::-1] if reverse_sweep else orders, constellation,
-        initial_decisions, ff_seed=feedback_seed == "feedforward",
+        r2d, bank.w, bank.f if feedback else None,
+        orders[:, ::-1] if reverse_sweep else orders, constellation, initial_decisions,
     )
     if metric == "reduced":
-        lead = np.abs(cands) ** 2 if energy == "candidate" else float(energy)
-        mets = lead - np.abs(zs + z_fb) ** 2 + np.abs(z_fb) ** 2
+        mets = np.abs(cands) ** 2 - np.abs(zs + z_fb) ** 2 + np.abs(z_fb) ** 2
     else:
         mets = np.abs(cands - zs) ** 2
+    # per (branch, stream, column): the feedforward product, the feedback
+    # product and its subtraction, and the metric when there is a choice
+    terms = (n_t if feedback else 0) + (0 if n_br == 1 else 3 if metric == "reduced" else 1)
     counter = OpCounter()
-    _sweep_ops(counter, n_rx, n_t, n_br * q, metric_terms=3 if metric == "reduced" else 1)
+    counter.add(mults=n_br * q * n_t * (n_rx + terms), adds=n_br * q * n_t * (n_rx - 1 + terms))
     if selection == "joint":
         best = np.argmin(mets.sum(axis=1), axis=0)
         chosen = np.broadcast_to(best, (n_t, q)).copy()
-        counter.add(adds=n_br * (n_t - 1) * q)
+        if n_br > 1:
+            counter.add(adds=n_br * (n_t - 1) * q)
     else:
         chosen = np.argmin(mets, axis=0)
     symbols = np.take_along_axis(cands, chosen[None], axis=0)[0]
     result = DetectionResult(symbols, chosen, zs, mets, counter)
-    return _finish(result, squeeze)
-
-
-def detect_df(
-    r, bank: FilterBank, constellation: Constellation, branch: int = 0
-) -> DetectionResult:
-    """Conventional single-branch decision-feedback detection."""
-    n_br, n_t, n_rx = bank.w.shape
-    if not 0 <= branch < n_br:
-        raise ValueError(f"branch index {branch} outside the bank (L={n_br})")
-    r2d, squeeze = _as_block(r, n_rx)
-    q = r2d.shape[1]
-    one = slice(branch, branch + 1)
-    order = bank.branches[branch].ordering[None]
-    cand, z, _ = _sweep(r2d, bank.w[one], bank.f[one], order, constellation, ff_seed=True)
-    counter = OpCounter()
-    _sweep_ops(counter, n_rx, n_t, q, metric_terms=0)
-    met = np.abs(cand - z) ** 2
-    result = DetectionResult(cand[0], np.full((n_t, q), branch), z, met, counter)
-    return _finish(result, squeeze)
-
-
-def detect_sic(
-    r,
-    channel: ChannelRealization | None = None,
-    constellation: Constellation | None = None,
-    bank: FilterBank | None = None,
-    beta: float = 1.0,
-    sigma_s2: float = 1.0,
-) -> DetectionResult:
-    """MMSE-SIC baseline: natural-order successive cancellation.
-
-    Kept as an independent per-symbol loop (no shared sweep code) so it can
-    serve as an equivalence reference for the multi-branch detector at L=1.
-    """
-    if constellation is None:
-        raise ValueError("detect_sic needs the constellation")
-    if bank is None:
-        if channel is None:
-            raise ValueError("detect_sic needs either a filter bank or the channel")
-        n_t = channel.n_tx
-        bank = design_perfect_feedback(
-            channel, [make_branch(n_t, np.arange(n_t), beta)], sigma_s2, tol=1e-12
-        )
-    n_t, n_rx = bank.w.shape[1:]
-    r2d, squeeze = _as_block(r, n_rx)
-    q = r2d.shape[1]
-    symbols = np.empty((n_t, q), dtype=complex)
-    z_all = np.empty((n_t, q), dtype=complex)
-    counter = OpCounter()
-    points = constellation.points
-    for col in range(q):
-        # seed with feedforward-only slices, then refine in natural order
-        s_work = np.empty(n_t, dtype=complex)
-        for j in range(n_t):
-            z0 = np.vdot(bank.w[0, j], r2d[:, col])
-            s_work[j] = points[int(slice_to_index(np.array([z0]), constellation)[0])]
-        for j in range(n_t):
-            zj = np.vdot(bank.w[0, j], r2d[:, col]) - np.vdot(bank.f[0, j], s_work)
-            s_work[j] = points[int(slice_to_index(np.array([zj]), constellation)[0])]
-            symbols[j, col] = s_work[j]
-            z_all[j, col] = zj
-    counter.add(mults=q * n_t * (n_rx + n_t), adds=q * n_t * (n_rx + n_t - 1))
-    met = np.abs(symbols - z_all) ** 2
-    result = DetectionResult(
-        symbols, np.zeros((n_t, q), dtype=int), z_all[None].copy(), met[None].copy(), counter
-    )
-    return _finish(result, squeeze)
-
-
-def detect_linear(r, bank: FilterBank, constellation: Constellation) -> DetectionResult:
-    """Linear MMSE detection: slice w^H r, no feedback."""
-    n_br, n_t, n_rx = bank.w.shape
-    r2d, squeeze = _as_block(r, n_rx)
-    q = r2d.shape[1]
-    z = bank.w[0].conj() @ r2d
-    symbols = constellation.points[slice_to_index(z, constellation)]
-    counter = OpCounter()
-    counter.add(mults=q * n_t * n_rx, adds=q * n_t * (n_rx - 1))
-    met = np.abs(symbols - z) ** 2
-    result = DetectionResult(
-        symbols, np.zeros((n_t, q), dtype=int), z[None].copy(), met[None].copy(), counter
-    )
     return _finish(result, squeeze)
 
 
@@ -591,7 +498,6 @@ def multi_stage(
     constellation: Constellation,
     stages: int = 2,
     metric: str = "full",
-    energy: str | float = "candidate",
     selection: str = "per_stream",
 ) -> DetectionResult:
     """Iterative refinement: re-detect with previous-stage decisions fed back.
@@ -609,19 +515,15 @@ def multi_stage(
     """
     if stages < 1:
         raise ValueError("stage count must be at least 1")
-    result = detect_mb_mmse_df(
-        r, bank, constellation, metric=metric, energy=energy, selection=selection
-    )
+    result = detect_mb_mmse_df(r, bank, constellation, metric=metric, selection=selection)
     total = result.op_counts
     for _ in range(stages - 1):
-        prev = result.symbols
         result = detect_mb_mmse_df(
             r,
             bank,
             constellation,
             metric=metric,
-            energy=energy,
-            initial_decisions=prev if prev.ndim == 2 else prev[:, None],
+            initial_decisions=result.symbols,
             reverse_sweep=True,
             selection=selection,
         )

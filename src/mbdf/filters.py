@@ -16,10 +16,16 @@ The design solves, per (stream, branch),
     min E|s_j - w^H r + f^H s_hat|^2   s.t.   f_k = 0 wherever not mask[j, k],
 
 with the feedback magnitude throttled by a scalar ``beta`` in [0, 1]
-(0 = pure linear MMSE, 1 = full decision feedback).  Three equivalent routes
-are provided: an alternating (coupled) update sharing a single covariance
-inverse across all streams and branches, an exact closed form used as the
-oracle, and a channel-matrix shortcut valid under the ideal-decision model.
+(0 = pure linear MMSE, 1 = full decision feedback).  Four design routes are
+provided:
+
+- :func:`design_statistical`: an alternating (coupled) update sharing a
+  single covariance inverse across all streams and branches;
+- :func:`design_closed_form`: the exact closed form, used as the oracle;
+- :func:`design_perfect_feedback`: the channel-matrix form of the
+  alternating update under the ideal-decision model;
+- :func:`design_soft_feedback`: exact filters when the fed-back symbols are
+  only partly reliable, used by the iterative receiver.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ __all__ = [
     "mmse_value",
     "mmse_linear",
     "branch_mmse",
-    "immse_metric",
 ]
 
 # condition number beyond which a "numerical" design input is rejected
@@ -453,23 +458,3 @@ def branch_mmse(stats: SecondOrderStats, branch: BranchSpec) -> np.ndarray:
     return np.array(
         [mmse_value(bank.w[0, j], bank.f[0, j], stats, j) for j in range(stats.n_tx)]
     )
-
-
-def immse_metric(s_hat, w, f, r, s_dec, mode: str = "full", energy=None) -> float:
-    """Per-vector selection metric for one candidate decision.
-
-    ``full`` is the complete instantaneous squared error
-    ``|s_hat - (w^H r - f^H s_dec)|^2``.  ``reduced`` plugs the rank-one
-    sample estimates into the collapsed MMSE expression:
-    ``|s_hat|^2 - |w^H r|^2 + |f^H s_dec|^2``.
-    ``energy`` overrides the leading ``|s_hat|^2`` term with a constant (for
-    constant-modulus constellations the two coincide).
-    """
-    z_ff = np.vdot(w, r)
-    z_fb = np.vdot(f, s_dec)
-    lead = float(energy) if energy is not None else abs(s_hat) ** 2
-    if mode == "reduced":
-        return float(lead - abs(z_ff) ** 2 + abs(z_fb) ** 2)
-    if mode == "full":
-        return float(abs(s_hat - (z_ff - z_fb)) ** 2)
-    raise ValueError(f"unknown metric mode {mode!r} (use 'reduced' or 'full')")

@@ -40,11 +40,8 @@ from .detectors import (
     DetectorConfig,
     ML_BIT_GUARD,
     build_branches,
-    detect_df,
-    detect_linear,
     detect_mb_mmse_df,
     detect_ml,
-    detect_sic,
     multi_stage,
 )
 from .filters import design_perfect_feedback, make_branch
@@ -258,27 +255,20 @@ def _design_bank(cfg: SimConfig, channel, noise_variance, fixed_branches):
 
 def _detect_uncoded(cfg: SimConfig, channel, r, constellation, fixed_branches):
     det = cfg.detector
-    noise = channel.noise_variance
     if det.kind == "ml":
         return detect_ml(r, channel, constellation)
-    if det.kind == "sic":
-        return detect_sic(r, channel=channel, constellation=constellation, beta=det.beta)
-    if det.kind == "linear":
-        bank = design_perfect_feedback(
-            channel, [make_branch(cfg.n_t, np.arange(cfg.n_t), 0.0)], tol=1e-12
-        )
-        return detect_linear(r, bank, constellation)
-    if det.kind == "df":
-        bank = design_perfect_feedback(
-            channel, [make_branch(cfg.n_t, np.arange(cfg.n_t), det.beta)], tol=1e-12
-        )
-        return detect_df(r, bank, constellation)
-    bank, _ = _design_bank(cfg, channel, noise, fixed_branches)
-    if det.stages > 1:
-        return multi_stage(
-            r, bank, constellation, stages=det.stages,
-            metric=det.metric, selection=det.selection,
-        )
+    if det.kind == "mbdf":
+        bank, _ = _design_bank(cfg, channel, channel.noise_variance, fixed_branches)
+        if det.stages > 1:
+            return multi_stage(
+                r, bank, constellation, stages=det.stages,
+                metric=det.metric, selection=det.selection,
+            )
+    else:
+        # linear, SIC and DF: one natural-order branch, linear without feedback
+        beta = 0.0 if det.kind == "linear" else det.beta
+        branch = make_branch(cfg.n_t, np.arange(cfg.n_t), beta)
+        bank = design_perfect_feedback(channel, [branch], tol=1e-12)
     return detect_mb_mmse_df(
         r, bank, constellation, metric=det.metric, selection=det.selection
     )
@@ -628,16 +618,16 @@ def exit_chart(
             z = np.einsum("lja,aq->ljq", bank.w.conj(), r)
             z -= np.einsum("lja,aq->ljq", bank.f.conj(), soft)
             model = estimate_output_model(z, slice_symbols(z, const))
-            lam = np.empty((branches, n_t, packet_len, c_bits))
-            for l in range(branches):
-                for j in range(n_t):
-                    lam[l, j] = extrinsic_llr(
-                        z[l, j],
-                        GaussianOutputModel(model.v[l, j], model.xi_var[l, j]),
-                        priors[j],
-                        const,
-                        mode=demap_mode,
-                    )
+            # one demap over every (branch, stream) sequence, each with its own model
+            lam = extrinsic_llr(
+                z.ravel(),
+                GaussianOutputModel(
+                    np.repeat(model.v, packet_len), np.repeat(model.xi_var, packet_len)
+                ),
+                np.broadcast_to(priors, z.shape + (c_bits,)).reshape(-1, c_bits),
+                const,
+                mode=demap_mode,
+            ).reshape(z.shape + (c_bits,))
             chosen, _ = select_llr(lam)
             collected.append(chosen.ravel())
             truth.append(bits.ravel())

@@ -10,11 +10,8 @@ from mbdf.detectors import (
     DetectionResult,
     DetectorConfig,
     build_branches,
-    detect_df,
-    detect_linear,
     detect_mb_mmse_df,
     detect_ml,
-    detect_sic,
     fixed_orderings,
     multi_stage,
     order_optimal,
@@ -32,6 +29,7 @@ from mbdf.sysmodel import (
     make_constellation,
     modulate,
     rayleigh_channel,
+    slice_symbols,
     slice_to_index,
     snr_to_noise_variance,
     transmit_block,
@@ -63,6 +61,33 @@ def standard_bank(channel, l_count, beta, ordering="fixed", pattern="sic"):
     return design_perfect_feedback(channel, branches, tol=1e-12)
 
 
+def natural_bank(channel, beta):
+    """The linear (beta = 0) and SIC/DF recipe: one natural-order branch."""
+    branch = make_branch(channel.n_tx, np.arange(channel.n_tx), beta)
+    return design_perfect_feedback(channel, [branch], tol=1e-12)
+
+
+def reference_sic(r2d, bank, constellation):
+    """MMSE-SIC as an independent per-symbol loop over branch 0 of ``bank``:
+    seed with feedforward-only slices, then refine in natural order."""
+    n_t = bank.w.shape[1]
+    q = r2d.shape[1]
+    symbols = np.empty((n_t, q), dtype=complex)
+    z_all = np.empty((n_t, q), dtype=complex)
+    points = constellation.points
+    for col in range(q):
+        s_work = np.empty(n_t, dtype=complex)
+        for j in range(n_t):
+            z0 = np.vdot(bank.w[0, j], r2d[:, col])
+            s_work[j] = points[int(slice_to_index(np.array([z0]), constellation)[0])]
+        for j in range(n_t):
+            zj = np.vdot(bank.w[0, j], r2d[:, col]) - np.vdot(bank.f[0, j], s_work)
+            s_work[j] = points[int(slice_to_index(np.array([zj]), constellation)[0])]
+            symbols[j, col] = s_work[j]
+            z_all[j, col] = zj
+    return symbols, z_all
+
+
 # ---------------------------------------------------------------------------
 # Exact recovery and ML oracles
 # ---------------------------------------------------------------------------
@@ -75,8 +100,10 @@ def test_noiseless_exact_recovery_all_detectors():
     bank = standard_bank(ch, 4, beta=1.0)
     assert np.array_equal(detect_mb_mmse_df(r, bank, QPSK).symbols, s)
     assert np.array_equal(detect_ml(r, ch, QPSK).symbols, s)
-    assert np.array_equal(detect_sic(r, bank=bank, constellation=QPSK).symbols, s)
-    assert np.array_equal(detect_df(r, bank, QPSK).symbols, s)
+    # linear, then SIC/DF, as bank recipes for the same kernel
+    assert np.array_equal(detect_mb_mmse_df(r, natural_bank(ch, 0.0), QPSK).symbols, s)
+    assert np.array_equal(detect_mb_mmse_df(r, natural_bank(ch, 1.0), QPSK).symbols, s)
+    assert np.array_equal(reference_sic(r, bank, QPSK)[0], s)
     assert np.array_equal(multi_stage(r, bank, QPSK, stages=2).symbols, s)
 
 
@@ -87,8 +114,10 @@ def test_linear_identity_channel_low_noise():
     bank = design_perfect_feedback(ch, branches, tol=1e-12)
     s = random_symbols(QPSK, 3, 200, rng)
     r = transmit_block(ch, s, rng)
-    out = detect_linear(r, bank, QPSK)
+    out = detect_mb_mmse_df(r, bank, QPSK)
     assert np.array_equal(out.symbols, s)
+    # no feedback and one branch: only the feedforward products are charged
+    assert (out.op_counts.mults, out.op_counts.adds) == (200 * 3 * 3, 200 * 3 * 2)
 
 
 def test_ml_matches_independent_enumeration():
@@ -138,18 +167,11 @@ def test_sic_equals_mbdf_single_branch():
     bank = design_perfect_feedback(ch, branch, tol=1e-12)
     s = random_symbols(QPSK, 4, 1000, rng)
     r = transmit_block(ch, s, rng)
-    a = detect_sic(r, bank=bank, constellation=QPSK)
+    symbols, z = reference_sic(r, bank, QPSK)
     b = detect_mb_mmse_df(r, bank, QPSK)
-    assert np.array_equal(a.symbols, b.symbols)
-
-
-def test_sic_builds_own_bank_from_channel():
-    rng = np.random.default_rng(8)
-    ch = rayleigh_channel(4, 4, rng, noise_variance=0.1)
-    s = random_symbols(QPSK, 4, 16, rng)
-    r = transmit_block(ch, s, rng)
-    out = detect_sic(r, channel=ch, constellation=QPSK)
-    assert out.symbols.shape == (4, 16)
+    assert np.array_equal(symbols, b.symbols)
+    assert np.max(np.abs(z - b.soft_outputs[0])) <= 1e-12
+    assert np.all(b.chosen_branch == 0)
 
 
 def test_linear_equals_mbdf_beta_zero():
@@ -159,9 +181,15 @@ def test_linear_equals_mbdf_beta_zero():
     assert np.allclose(bank.f, 0.0)
     s = random_symbols(QAM16, 4, 400, rng)
     r = transmit_block(ch, s, rng)
-    a = detect_linear(r, bank, QAM16)
+    # independent one-shot linear MMSE: slice w^H r of the first branch
+    linear = slice_symbols(bank.w[0].conj() @ r, QAM16)
     b = detect_mb_mmse_df(r, bank, QAM16)
-    assert np.array_equal(a.symbols, b.symbols)
+    assert np.array_equal(linear, b.symbols)
+    # no feedback products: feedforward plus the full metric, and joint selection
+    assert (b.op_counts.mults, b.op_counts.adds) == (
+        400 * 3 * 4 * (4 + 1),
+        400 * (3 * 4 * (3 + 1) + 3 * 3),
+    )
     # every branch carries the same filter, so selection is a pure tie-break
     assert np.array_equal(b.metrics[1], b.metrics[0])
     assert np.array_equal(b.metrics[2], b.metrics[0])
@@ -230,8 +258,6 @@ def test_full_metric_is_slicer_residual():
     r = transmit_block(ch, s, rng)
     out = detect_mb_mmse_df(r, bank, QPSK, metric="full")
     # z is stored per branch; the metric must be |Q(z) - z|^2 elementwise
-    from mbdf.sysmodel import slice_symbols
-
     for l in range(2):
         resid = np.abs(slice_symbols(out.soft_outputs[l], QPSK) - out.soft_outputs[l]) ** 2
         assert np.allclose(out.metrics[l], resid, atol=1e-12)
@@ -265,8 +291,6 @@ def test_mismatched_input_raises():
         detect_mb_mmse_df(np.zeros(5, dtype=complex), bank, QPSK)
     with pytest.raises(ValueError, match="metric"):
         detect_mb_mmse_df(np.zeros(4, dtype=complex), bank, QPSK, metric="fancy")
-    with pytest.raises(ValueError, match="seed"):
-        detect_mb_mmse_df(np.zeros(4, dtype=complex), bank, QPSK, feedback_seed="ones")
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +444,11 @@ def test_mbdf_at_least_as_good_as_linear():
     for _ in range(5):
         ch = rayleigh_channel(4, 4, rng, noise_variance=noise)
         bank = standard_bank(ch, 4, beta=0.65)
-        lin = design_perfect_feedback(ch, build_branches(4, 1, beta=0.0), tol=1e-12)
+        lin = natural_bank(ch, 0.0)
         s = random_symbols(QPSK, 4, 2000, rng)
         r = transmit_block(ch, s, rng)
         err_mb += np.count_nonzero(detect_mb_mmse_df(r, bank, QPSK).symbols != s)
-        err_lin += np.count_nonzero(detect_linear(r, lin, QPSK).symbols != s)
+        err_lin += np.count_nonzero(detect_mb_mmse_df(r, lin, QPSK).symbols != s)
         total += s.size
     sigma = np.sqrt(max(err_lin, 1)) / total
     assert err_mb / total <= err_lin / total + 3 * sigma
@@ -513,7 +537,9 @@ def test_op_counts_pinned_to_the_per_branch_sweep():
     for (metric, selection), counts in expected.items():
         c = detect_mb_mmse_df(r, bank, QPSK, metric=metric, selection=selection).op_counts
         assert (c.mults, c.adds) == counts, (metric, selection)
-    c = detect_df(r, bank, QPSK).op_counts
+    # one branch of the bank (DF): nothing to select, no metric charged
+    one = FilterBank(bank.w[:1], bank.f[:1], bank.branches[:1])
+    c = detect_mb_mmse_df(r, one, QPSK).op_counts
     assert (c.mults, c.adds) == (16000, 14000)
 
 
@@ -522,8 +548,7 @@ def test_op_counts_pinned_to_the_per_branch_sweep():
 # ---------------------------------------------------------------------------
 
 def reference_mb_mmse_df(
-    r2d, bank, constellation, metric, energy, initial_decisions, reverse_sweep,
-    feedback_seed, selection,
+    r2d, bank, constellation, metric, initial_decisions, reverse_sweep, selection
 ):
     """Branch by branch, stream by stream: the loop the stacked sweep replaced."""
     points = constellation.points
@@ -536,18 +561,15 @@ def reference_mb_mmse_df(
         z_ff = bank.w[l].conj() @ r2d
         if initial_decisions is not None:
             s_work = np.broadcast_to(initial_decisions, (n_t, q)).astype(complex)
-        elif feedback_seed == "feedforward":
-            s_work = points[slice_to_index(z_ff, constellation)]
         else:
-            s_work = np.zeros((n_t, q), dtype=complex)
+            s_work = points[slice_to_index(z_ff, constellation)]
         for j in br.ordering[::-1] if reverse_sweep else br.ordering:
             fb = bank.f[l, j].conj() @ s_work
             zj = z_ff[j] - fb
             s_work[j] = points[slice_to_index(zj, constellation)]
             zs[l, j] = zj
             if metric == "reduced":
-                lead = np.abs(s_work[j]) ** 2 if energy == "candidate" else energy
-                mets[l, j] = lead - np.abs(zj + fb) ** 2 + np.abs(fb) ** 2
+                mets[l, j] = np.abs(s_work[j]) ** 2 - np.abs(zj + fb) ** 2 + np.abs(fb) ** 2
             else:
                 mets[l, j] = np.abs(s_work[j] - zj) ** 2
         cands[l] = s_work
@@ -559,24 +581,35 @@ def reference_mb_mmse_df(
     return symbols, chosen, zs, mets
 
 
+def sweep_mode_inputs(mode, constellation, q, rng):
+    """Initial decisions and bank beta of one sweep-test mode: a random seed,
+    an all-zero seed (only already-swept streams feed back), or a bank
+    without feedback, whose seed must not matter."""
+    if mode in ("initial", "no_feedback"):
+        init = random_symbols(constellation, 4, q, rng)
+    elif mode == "zero_seed":
+        init = np.zeros((4, q), dtype=complex)
+    else:
+        init = None
+    return init, 0.0 if mode == "no_feedback" else 0.65
+
+
+SWEEP_MODES = ["plain", "reverse", "initial", "zero_seed", "no_feedback"]
+
+
 @pytest.mark.parametrize(
     "constellation, snr_db", [(QPSK, 8.0), (QAM16, 14.0)], ids=["qpsk", "16qam"]
 )
-@pytest.mark.parametrize("mode", ["plain", "reverse", "initial", "zero_seed"])
+@pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_stacked_sweep_matches_per_branch_loop(constellation, snr_db, mode):
     rng = np.random.default_rng(4242)
     noise = snr_to_noise_variance(snr_db, 4, constellation.bits_per_symbol)
     ch = rayleigh_channel(4, 4, rng, noise_variance=noise)
-    bank = standard_bank(ch, 4, beta=0.65)
     for q in (1, 7):
         r = transmit_block(ch, random_symbols(constellation, 4, q, rng), rng)
-        init = random_symbols(constellation, 4, q, rng) if mode == "initial" else None
-        kw = dict(
-            energy=1.5 if mode == "zero_seed" else "candidate",
-            initial_decisions=init,
-            reverse_sweep=mode == "reverse",
-            feedback_seed="zero" if mode == "zero_seed" else "feedforward",
-        )
+        init, beta = sweep_mode_inputs(mode, constellation, q, rng)
+        bank = standard_bank(ch, 4, beta=beta)
+        kw = dict(initial_decisions=init, reverse_sweep=mode == "reverse")
         for metric in ("full", "reduced"):
             for selection in ("joint", "per_stream"):
                 ref = reference_mb_mmse_df(
@@ -594,6 +627,22 @@ def test_stacked_sweep_matches_per_branch_loop(constellation, snr_db, mode):
                 assert np.max(np.abs(got.metrics - ref[3].reshape(4, *shape))) <= 1e-12
 
 
+def test_single_vector_accepts_flat_initial_decisions():
+    rng = np.random.default_rng(4747)
+    ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(10.0, 4, 2))
+    bank = standard_bank(ch, 4, beta=0.65)
+    r = transmit_block(ch, random_symbols(QPSK, 4, 1, rng), rng)[:, 0]
+    init = random_symbols(QPSK, 4, 1, rng)
+    for reverse in (False, True):
+        kw = dict(reverse_sweep=reverse)
+        flat = detect_mb_mmse_df(r, bank, QPSK, initial_decisions=init[:, 0], **kw)
+        col = detect_mb_mmse_df(r, bank, QPSK, initial_decisions=init, **kw)
+        assert flat.symbols.shape == (4,)
+        assert np.array_equal(flat.symbols, col.symbols)
+        assert np.array_equal(flat.soft_outputs, col.soft_outputs)
+        assert np.array_equal(flat.metrics, col.metrics)
+
+
 def test_df_sweep_matches_per_branch_loop():
     rng = np.random.default_rng(4343)
     ch = rayleigh_channel(4, 4, rng, noise_variance=snr_to_noise_variance(10.0, 4, 4))
@@ -601,24 +650,24 @@ def test_df_sweep_matches_per_branch_loop():
     r = transmit_block(ch, random_symbols(QAM16, 4, 9, rng), rng)
     for l in range(3):
         one = FilterBank(bank.w[l : l + 1], bank.f[l : l + 1], bank.branches[l : l + 1])
-        ref = reference_mb_mmse_df(
-            r, one, QAM16, "full", "candidate", None, False, "feedforward", "joint"
-        )
-        got = detect_df(r, bank, QAM16, branch=l)
+        ref = reference_mb_mmse_df(r, one, QAM16, "full", None, False, "joint")
+        got = detect_mb_mmse_df(r, one, QAM16)
         assert np.array_equal(got.symbols, ref[0])
-        assert np.all(got.chosen_branch == l)
+        assert np.all(got.chosen_branch == 0)
         assert np.max(np.abs(got.soft_outputs - ref[2])) <= 1e-12
         assert np.max(np.abs(got.metrics - ref[3])) <= 1e-12
+        # feedforward and feedback products only
+        assert (got.op_counts.mults, got.op_counts.adds) == (9 * 4 * 8, 9 * 4 * 7)
 
 
 # ---------------------------------------------------------------------------
 # Per-column banks against one call per column
 # ---------------------------------------------------------------------------
 
-def per_column_case(constellation, snr_db, q, rng):
+def per_column_case(constellation, snr_db, q, rng, beta=0.65):
     """q channels, one column received over each, and the bank of each."""
     noise = snr_to_noise_variance(snr_db, 4, constellation.bits_per_symbol)
-    branches = build_branches(4, 4, 0.65)
+    branches = build_branches(4, 4, beta)
     banks, cols = [], []
     for _ in range(q):
         ch = rayleigh_channel(4, 4, rng, noise_variance=noise)
@@ -633,17 +682,13 @@ def per_column_case(constellation, snr_db, q, rng):
 @pytest.mark.parametrize(
     "constellation, snr_db", [(QPSK, 8.0), (QAM16, 14.0)], ids=["qpsk", "16qam"]
 )
-@pytest.mark.parametrize("mode", ["plain", "reverse", "initial", "zero_seed"])
+@pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_per_column_bank_matches_one_call_per_column(constellation, snr_db, mode):
     rng = np.random.default_rng(4545)
     q = 7
-    r, bank = per_column_case(constellation, snr_db, q, rng)
-    init = random_symbols(constellation, 4, q, rng) if mode == "initial" else None
-    kw = dict(
-        energy=1.5 if mode == "zero_seed" else "candidate",
-        reverse_sweep=mode == "reverse",
-        feedback_seed="zero" if mode == "zero_seed" else "feedforward",
-    )
+    init, beta = sweep_mode_inputs(mode, constellation, q, rng)
+    r, bank = per_column_case(constellation, snr_db, q, rng, beta)
+    kw = dict(reverse_sweep=mode == "reverse")
     for metric in ("full", "reduced"):
         for selection in ("joint", "per_stream"):
             got = detect_mb_mmse_df(

@@ -12,7 +12,6 @@ from mbdf.filters import (
     design_perfect_feedback,
     design_soft_feedback,
     design_statistical,
-    immse_metric,
     make_branch,
     mmse_linear,
     mmse_value,
@@ -295,32 +294,3 @@ def test_branch_mmse_matches_long_formula():
         )
         assert vals[j] == pytest.approx(expect, abs=1e-10)
     assert np.all(vals > 0)
-
-
-def test_immse_metric_examples():
-    rng = np.random.default_rng(12)
-    r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    s_dec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    zeros = np.zeros(4, complex)
-    s_hat = 0.7 - 0.2j
-    assert immse_metric(s_hat, zeros, zeros, r, s_dec) == pytest.approx(abs(s_hat) ** 2)
-    # a feedforward filter that exactly reproduces the candidate zeroes both forms
-    w = (np.conj(s_hat) / np.linalg.norm(r) ** 2) * r
-    assert np.vdot(w, r) == pytest.approx(s_hat)
-    assert immse_metric(s_hat, w, zeros, r, s_dec) == pytest.approx(0.0, abs=1e-12)
-    assert immse_metric(s_hat, w, zeros, r, s_dec, mode="full") == pytest.approx(
-        0.0, abs=1e-12
-    )
-    # arithmetic identities against direct evaluations of both forms
-    w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    reduced = abs(s_hat) ** 2 - abs(np.vdot(w, r)) ** 2 + abs(np.vdot(f, s_dec)) ** 2
-    assert immse_metric(s_hat, w, f, r, s_dec, mode="reduced") == pytest.approx(reduced)
-    full = abs(s_hat - np.vdot(w, r) + np.vdot(f, s_dec)) ** 2
-    assert immse_metric(s_hat, w, f, r, s_dec) == pytest.approx(full)
-    assert immse_metric(s_hat, w, f, r, s_dec, mode="full") == pytest.approx(full)
-    # constant-energy override replaces only the leading term of the surrogate
-    shifted = immse_metric(s_hat, w, f, r, s_dec, mode="reduced", energy=1.0)
-    assert shifted == pytest.approx(reduced - abs(s_hat) ** 2 + 1.0)
-    with pytest.raises(ValueError):
-        immse_metric(s_hat, w, f, r, s_dec, mode="plain")

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from mbdf.cli import main
-from mbdf.codec import MIN_MODEL_SAMPLES
+from mbdf.codec import (
+    MIN_MODEL_SAMPLES,
+    GaussianOutputModel,
+    estimate_output_model,
+    extrinsic_llr,
+    select_llr,
+    soft_symbol_estimate,
+)
 from mbdf.detectors import DetectorConfig, build_branches, detect_mb_mmse_df
 import mbdf.harness as harness
 from mbdf.filters import design_perfect_feedback
@@ -34,8 +41,11 @@ from mbdf.harness import (
 )
 from mbdf.sysmodel import (
     make_constellation,
+    modulate,
     rayleigh_channel,
+    slice_symbols,
     snr_to_noise_variance,
+    transmit_block,
 )
 
 QPSK = make_constellation("qpsk")
@@ -388,6 +398,43 @@ def test_doubling_branches_doubles_the_branch_term():
     assert d1 > 0 and 1.5 <= d2 / d1 <= 2.5
 
 
+def test_each_receiver_charges_its_pinned_ops_per_vector():
+    # 4x4, per stream and vector: the feedforward product costs 4 mults and
+    # 3 adds, feedback 4 more of each (product and subtraction); an L=4 bank
+    # adds the full metric (1 and 1) per branch and joint selection (3 adds
+    # per branch), and a single branch has nothing to select
+    expected = {
+        ("linear", 1): (16.0, 12.0),
+        ("sic", 1): (32.0, 28.0),
+        ("df", 1): (32.0, 28.0),
+        ("mbdf", 1): (32.0, 28.0),
+        ("mbdf", 4): (144.0, 140.0),
+    }
+    counts = {}
+    for (kind, l_count), per_vector in expected.items():
+        for constellation in ("qpsk", "16qam"):
+            cfg = SimConfig(
+                n_t=4,
+                n_r=4,
+                constellation=constellation,
+                snr_grid=(6.0, 14.0),
+                detector=DetectorConfig(kind=kind, branches=l_count),
+                packet_len=20,
+                min_errors=10**9,
+                max_bits=3 * 4 * 20 * 4,
+                seed=77,
+            )
+            points = run_ber_sweep(cfg).points
+            for p in points:
+                assert (p.mults_per_vector, p.adds_per_vector) == per_vector, kind
+            counts[kind, l_count, constellation] = [
+                (p.bits, p.bit_errors, p.frame_errors) for p in points
+            ]
+    # SIC and DF are the same receiver
+    for constellation in ("qpsk", "16qam"):
+        assert counts["sic", 1, constellation] == counts["df", 1, constellation]
+
+
 def test_measured_against_analytic_within_factor_two():
     # adaptive multi-branch receiver vs the closed-form row
     for n, l_count in ((4, 2), (4, 4)):
@@ -528,6 +575,60 @@ def test_exit_curve_rises_from_open_to_saturated_priors():
     rows = exit_chart(4, 4, 10.0, [0.0, 0.999], packets=6, packet_len=150, seed=5)
     assert rows[0, 0] == 0.0
     assert 0.0 < rows[0, 1] < rows[1, 1] <= 1.0
+
+
+def reference_exit_chart(
+    n_t, n_r, snr_db, i_a_grid, branches, constellation, packets, packet_len, seed,
+    demap_mode,
+):
+    """exit_chart's draws with one demap call per (branch, stream) sequence."""
+    const = make_constellation(constellation)
+    c_bits = const.bits_per_symbol
+    noise = snr_to_noise_variance(snr_db, n_t, c_bits)
+    rows = []
+    for i_a in i_a_grid:
+        sigma = j_inverse(i_a)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        collected, truth = [], []
+        for _ in range(packets):
+            ch = rayleigh_channel(n_r, n_t, rng, noise_variance=noise)
+            bank = design_perfect_feedback(ch, build_branches(n_t, branches, 1.0), tol=1e-12)
+            bits = rng.integers(0, 2, size=(n_t, packet_len * c_bits))
+            r = transmit_block(ch, modulate(bits, const), rng)
+            bipolar = 1 - 2 * bits.reshape(n_t, packet_len, c_bits)
+            priors = sigma**2 / 2.0 * bipolar + sigma * rng.standard_normal(bipolar.shape)
+            if sigma == 0.0:
+                priors = np.zeros_like(priors, dtype=float)
+            soft = soft_symbol_estimate(priors, const)
+            z = np.einsum("lja,aq->ljq", bank.w.conj(), r)
+            z -= np.einsum("lja,aq->ljq", bank.f.conj(), soft)
+            model = estimate_output_model(z, slice_symbols(z, const))
+            lam = np.empty((branches, n_t, packet_len, c_bits))
+            for l in range(branches):
+                for j in range(n_t):
+                    lam[l, j] = extrinsic_llr(
+                        z[l, j],
+                        GaussianOutputModel(model.v[l, j], model.xi_var[l, j]),
+                        priors[j],
+                        const,
+                        mode=demap_mode,
+                    )
+            chosen, _ = select_llr(lam)
+            collected.append(chosen.ravel())
+            truth.append(bits.ravel())
+        i_e = measure_mutual_information(np.concatenate(collected), np.concatenate(truth))
+        rows.append((i_a, i_e))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("demap_mode", ["exact", "maxlog"])
+@pytest.mark.parametrize("constellation", ["qpsk", "16qam"])
+def test_exit_chart_matches_per_sequence_demapping(constellation, demap_mode):
+    grid = [0.0, 0.4, 0.9]
+    kw = dict(branches=3, constellation=constellation, packets=2, packet_len=40, seed=8)
+    rows = exit_chart(3, 4, 8.0, grid, demap_mode=demap_mode, **kw)
+    ref = reference_exit_chart(3, 4, 8.0, grid, demap_mode=demap_mode, **kw)
+    assert np.array_equal(rows, ref)
 
 
 def test_exit_chart_rejects_packets_below_the_model_floor():
